@@ -1,4 +1,4 @@
-"""Benchmark the compiled GF(2) reduction kernel against the pure fallback.
+"""Benchmark the GF(2) reduction kernel, ``hypercode._gf2.reduce_lows``.
 
 Workload: full persistence reduction of random flag-complex filtrations,
 the same column layout the homology module produces.
@@ -13,12 +13,7 @@ import random
 import time
 from itertools import combinations
 
-from hypercode import _gf2py
-
-try:
-    from hypercode import _gf2core
-except ImportError:
-    _gf2core = None
+from hypercode import _gf2
 
 
 def random_filtration_columns(n_points: int, edge_prob: float, seed: int):
@@ -47,9 +42,9 @@ def bench(fn, columns, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = fn(columns, len(columns))
+        fn(columns, len(columns))
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def main():
@@ -62,14 +57,8 @@ def main():
     columns = random_filtration_columns(args.points, 0.35, args.seed)
     print(f"{len(columns)} simplices, {sum(len(c) for c in columns)} nonzeros")
 
-    t_py, lows_py = bench(_gf2py.reduce_lows, columns, args.repeats)
-    print(f"pure python : {t_py * 1e3:9.2f} ms")
-    if _gf2core is None:
-        print("cython      : extension not built")
-        return
-    t_cy, lows_cy = bench(_gf2core.reduce_lows, columns, args.repeats)
-    assert lows_cy == lows_py, "kernels disagree"
-    print(f"cython      : {t_cy * 1e3:9.2f} ms   ({t_py / t_cy:5.1f}x speedup)")
+    seconds = bench(_gf2.reduce_lows, columns, args.repeats)
+    print(f"reduce_lows : {seconds * 1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

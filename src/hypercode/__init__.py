@@ -1,6 +1,6 @@
 """Higher-order neural codes: cofiring hyperstructures and their topology."""
 
-from hypercode._gf2 import BACKEND as GF2_BACKEND
+from hypercode._gf2 import GF2_BACKEND
 from hypercode.codes import (
     Code,
     Codeword,

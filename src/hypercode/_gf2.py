@@ -1,28 +1,41 @@
-"""GF(2) reduction kernel selection: compiled extension if available.
-
-Set HYPERCODE_GF2_BACKEND=python to force the pure-Python kernel.
-"""
+"""GF(2) column reduction on big-int bitset columns."""
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("HYPERCODE_GF2_BACKEND") == "python":
-    from hypercode import _gf2py as _impl
-else:
-    try:
-        from hypercode import _gf2core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from hypercode import _gf2py as _impl  # type: ignore[no-redef]
-
-BACKEND = "cython" if _impl.__name__.endswith("_gf2core") else "python"
+GF2_BACKEND = "python"
 
 
 def reduce_lows(columns, n_rows):
-    """Lowest-one row per column after left-to-right GF(2) reduction."""
-    return _impl.reduce_lows(columns, n_rows)
+    """Left-to-right column reduction over GF(2).
+
+    ``columns`` is a list of sorted row-index lists (one per column).
+    Returns, for each column, the row index of its lowest 1 after
+    reduction, or -1 if the column was zeroed out.  The number of
+    non-negative entries is the rank of the matrix.
+    """
+    lows: list[int] = []
+    reduced: list[int] = []
+    low_to_col: dict[int, int] = {}
+    for rows in columns:
+        bits = 0
+        for r in rows:
+            bits |= 1 << r
+        while bits:
+            low = bits.bit_length() - 1
+            pivot = low_to_col.get(low)
+            if pivot is None:
+                break
+            bits ^= reduced[pivot]
+        reduced.append(bits)
+        if bits:
+            low = bits.bit_length() - 1
+            low_to_col[low] = len(reduced) - 1
+            lows.append(low)
+        else:
+            lows.append(-1)
+    return lows
 
 
 def rank(columns, n_rows):
     """GF(2) rank of a sparse column matrix."""
-    return sum(1 for low in _impl.reduce_lows(columns, n_rows) if low >= 0)
+    return sum(1 for low in reduce_lows(columns, n_rows) if low >= 0)

@@ -119,10 +119,9 @@ class SimplicialComplex:
                 raise DimensionError(f"simplex must be sorted and duplicate-free: {s}")
             if s and s[-1] >= len(self.vertex_labels):
                 raise DimensionError(f"vertex index {s[-1]} out of range")
-        for a in sims:
-            for b in sims:
-                if a != b and set(a) <= set(b):
-                    raise DimensionError(f"maximal simplex {a} contained in {b}")
+        extra = sims - maximal_sets(sims)
+        if extra:
+            raise DimensionError(f"simplex {min(extra)} is not inclusion-maximal")
 
     @property
     def dim(self) -> int:
@@ -239,14 +238,27 @@ def code_of_log(log: OccurrenceLog) -> Code:
     return Code(frozenset(indicator_word(p, log.n) for p in patterns), log.n)
 
 
-def maximal_patterns(patterns: Iterable[Pattern]) -> set[Pattern]:
-    """Inclusion-maximal elements of a family of patterns."""
-    distinct = {p for p in patterns if not p.is_empty}
-    return {
-        p
-        for p in distinct
-        if not any(p != q and p.as_set() < q.as_set() for q in distinct)
-    }
+def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Inclusion-maximal members of a family of sorted index tuples.
+
+    The empty tuple is dropped; a negative index raises DimensionError.
+    Distinct tuples are visited in decreasing size, so a tuple is maximal
+    iff its bitmask lies in no mask kept so far.
+    """
+    kept: list[int] = []
+    out: set[tuple[int, ...]] = set()
+    for s in sorted(set(family), key=len, reverse=True):
+        if not s:
+            break
+        if s[0] < 0:
+            raise DimensionError(f"negative index in {s}")
+        mask = 0
+        for i in s:
+            mask |= 1 << i
+        if not any(mask & m == mask for m in kept):
+            kept.append(mask)
+            out.add(s)
+    return out
 
 
 def generated_complex(patterns: Iterable[Pattern], n: int) -> SimplicialComplex:
@@ -255,13 +267,11 @@ def generated_complex(patterns: Iterable[Pattern], n: int) -> SimplicialComplex:
     Vertices are the neuron ids 0..n-1; maximal simplices are the
     inclusion-maximal patterns.
     """
-    maximal = maximal_patterns(patterns)
-    for p in maximal:
-        if p.members[-1] >= n:
-            raise DimensionError(f"pattern {p.members} exceeds n={n}")
-    return SimplicialComplex(
-        tuple(range(n)), frozenset(p.members for p in maximal)
-    )
+    maximal = maximal_sets(p.members for p in patterns)
+    for s in maximal:
+        if s[-1] >= n:
+            raise DimensionError(f"pattern {s} exceeds n={n}")
+    return SimplicialComplex(tuple(range(n)), frozenset(maximal))
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:

@@ -1,7 +1,6 @@
 """GF(2) simplicial homology, frequency filtrations and persistence barcodes.
 
-The rank/reduction inner loop runs on the compiled kernel when available
-(see :mod:`hypercode._gf2`).
+The rank/reduction inner loop is :mod:`hypercode._gf2`.
 """
 
 from __future__ import annotations

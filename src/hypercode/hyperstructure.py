@@ -125,7 +125,7 @@ class Hyperstructure:
                 for lvl, bonds in enumerate(obj["levels"])
             )
             return cls(int(obj["n"]), levels, config)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed hyperstructure JSON: {exc}") from exc
 
 

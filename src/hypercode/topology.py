@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from hypercode.codes import Pattern, SimplicialComplex, generated_complex
+from hypercode.codes import Pattern, SimplicialComplex, generated_complex, maximal_sets
 from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError, LevelRangeError
 from hypercode.hyperstructure import Hyperstructure, boundary, downset
 
@@ -102,12 +102,9 @@ def level_complex(h: Hyperstructure, i: int) -> SimplicialComplex:
     covered = set().union(*constituent_sets) if constituent_sets else set()
     candidates = [tuple(sorted(s)) for s in constituent_sets]
     candidates.extend((b.id,) for b in below if b.id not in covered)
-    maximal = {
-        s
-        for s in candidates
-        if not any(s != t and set(s) < set(t) for t in candidates)
-    }
-    return SimplicialComplex(tuple(b.id for b in below), frozenset(maximal))
+    return SimplicialComplex(
+        tuple(b.id for b in below), frozenset(maximal_sets(candidates))
+    )
 
 
 def delta_correspondence(h: Hyperstructure, i: int) -> Correspondence:
@@ -245,9 +242,4 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
                 groups = _connected_components(graph.vertices, adjacency)
             for group in groups:
                 candidates.add(tuple(sorted(index[(i, v)] for v in group)))
-    maximal = {
-        s
-        for s in candidates
-        if not any(s != t and set(s) < set(t) for t in candidates)
-    }
-    return SimplicialComplex(tuple(labels), frozenset(maximal))
+    return SimplicialComplex(tuple(labels), frozenset(maximal_sets(candidates)))

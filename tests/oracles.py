@@ -54,11 +54,16 @@ def betti_naive(maximal: list[tuple[int, ...]], max_dim: int) -> tuple[int, ...]
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
 
+def maximal_naive(family) -> set[tuple[int, ...]]:
+    """Nonempty members of a family not strictly contained in another member."""
+    present = set(family)
+    return {s for s in present if s and not any(set(s) < set(t) for t in present)}
+
+
 def subcomplex_at(
     simplices: list[tuple[int, ...]], values: dict[tuple[int, ...], float], theta: float
 ) -> list[tuple[int, ...]]:
-    present = [s for s in simplices if values[s] <= theta]
-    return [s for s in present if not any(s != t and set(s) < set(t) for t in present)]
+    return sorted(maximal_naive(s for s in simplices if values[s] <= theta))
 
 
 def rebuild_pass_naive(bins, max_level=3):

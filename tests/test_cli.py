@@ -113,6 +113,16 @@ def test_domain_error_exit_1(runner, tmp_path):
     assert "error:" in r.output
 
 
+def test_malformed_artifact_exit_1(runner, tmp_path):
+    _, hs = _pipeline(runner, tmp_path)
+    obj = json.loads(hs.read_text())
+    obj["n"] = "x"
+    hs.write_text(json.dumps(obj))
+    r = runner.invoke(cli, ["persist", str(hs), "-o", str(tmp_path / "bars.csv")])
+    assert r.exit_code == 1
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+
+
 def test_usage_error_exit_2(runner):
     r = runner.invoke(cli, ["build", "--definitely-not-a-flag"])
     assert r.exit_code == 2

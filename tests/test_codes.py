@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 from hypercode.codes import (
     Codeword,
     Pattern,
+    SimplicialComplex,
     bin_event_list,
     code_of_log,
     generated_complex,
     indicator_word,
+    maximal_sets,
     parse_spike_matrix,
     render_matrix,
     support,
@@ -17,6 +19,7 @@ from hypercode.codes import (
 from hypercode.errors import ConfigError, DimensionError, ParseError
 
 from conftest import TRIAD_CSV
+from oracles import maximal_naive
 
 
 def test_support_paper_word():
@@ -179,3 +182,30 @@ def test_generated_complex_no_comparable_maximal(patterns):
     for a in sims:
         for b in sims:
             assert a == b or not set(a) <= set(b)
+
+
+# a small universe, so that random families have duplicates, the empty
+# tuple and nested members; indices past 64 give multi-word masks
+@given(
+    st.lists(
+        st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 200]), max_size=5).map(
+            lambda s: tuple(sorted(s))
+        ),
+        max_size=30,
+    )
+)
+def test_maximal_sets_matches_naive(family):
+    assert maximal_sets(family) == maximal_naive(family)
+
+
+def test_maximal_sets_rejects_negative_index():
+    with pytest.raises(DimensionError):
+        maximal_sets([(-1, 0)])
+
+
+def test_simplicial_complex_rejects_non_maximal_simplex():
+    sims = [[0, 1], [0, 1, 2]]
+    with pytest.raises(DimensionError, match=r"\(0, 1\)"):
+        SimplicialComplex((0, 1, 2), frozenset(tuple(s) for s in sims))
+    with pytest.raises(DimensionError, match=r"\(0, 1\)"):
+        SimplicialComplex.from_json_obj({"vertices": [0, 1, 2], "maximal": sims})

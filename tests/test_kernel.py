@@ -1,16 +1,9 @@
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
-from hypercode import _gf2, _gf2py
+from hypercode import _gf2
 from oracles import gf2_rank_dense
-
-try:
-    from hypercode import _gf2core
-except ImportError:  # extension not built; fallback covers the contract
-    _gf2core = None
 
 
 def _dense(columns, n_rows):
@@ -32,22 +25,6 @@ def _dense(columns, n_rows):
 def test_rank_matches_dense_oracle(case):
     n_rows, columns = case
     assert _gf2.rank(columns, n_rows) == gf2_rank_dense(_dense(columns, n_rows))
-
-
-def test_backends_agree():
-    if _gf2core is None:
-        return
-    rng = random.Random(3)
-    for _ in range(50):
-        n_rows = rng.randint(1, 200)
-        ncols = rng.randint(0, 60)
-        columns = [
-            sorted(rng.sample(range(n_rows), rng.randint(0, min(8, n_rows))))
-            for _ in range(ncols)
-        ]
-        assert _gf2core.reduce_lows(columns, n_rows) == _gf2py.reduce_lows(
-            columns, n_rows
-        )
 
 
 def test_empty_matrix():
