@@ -156,6 +156,8 @@ def betti(hs_path, level, max_dim, dim_cap):
 @_domain_errors
 def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti, dot, dot_levels):
     """Compute the nerve of a hyperstructure."""
+    if dot and not dot_levels:
+        raise ParseError("--dot requires --dot-levels I J")
     hs = _load_hs(hs_path)
     levels = (
         frozenset(int(x) for x in include_levels.split(",")) if include_levels else None
@@ -167,8 +169,6 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
     if print_betti or not output:
         click.echo(",".join(str(x) for x in homology.betti(k)))
     if dot:
-        if not dot_levels:
-            raise ParseError("--dot requires --dot-levels I J")
         i, j = dot_levels
         Path(dot).write_text(gluing_graph(hs, i, j).to_dot())
 

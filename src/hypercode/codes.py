@@ -146,8 +146,11 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
-        labels = tuple(tuple(v) if isinstance(v, list) else v for v in obj["vertices"])
-        return cls(labels, frozenset(tuple(s) for s in obj["maximal"]))
+        try:
+            labels = tuple(tuple(v) if isinstance(v, list) else v for v in obj["vertices"])
+            return cls(labels, frozenset(tuple(s) for s in obj["maximal"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed complex JSON: {exc}") from exc
 
 
 def support(word: Codeword) -> Pattern:

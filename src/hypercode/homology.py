@@ -9,10 +9,11 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from hypercode import _gf2
 from hypercode.codes import SimplicialComplex
-from hypercode.errors import DimCapError, FiltrationError, LevelRangeError
+from hypercode.errors import ConfigError, DimCapError, FiltrationError, LevelRangeError
 from hypercode.hyperstructure import Hyperstructure
 from hypercode.topology import level_complex
 
@@ -23,7 +24,13 @@ def resolve_dim_cap(dim_cap: int | None = None) -> int:
     """Explicit value, else HYPERCODE_DIM_CAP, else the default of 5."""
     if dim_cap is not None:
         return dim_cap
-    return int(os.environ.get("HYPERCODE_DIM_CAP", DEFAULT_DIM_CAP))
+    raw = os.environ.get("HYPERCODE_DIM_CAP")
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"HYPERCODE_DIM_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,14 @@ class Barcode:
         )
 
 
+def _boundary_columns(simplices: Sequence[tuple[int, ...]], index: dict) -> list[list[int]]:
+    """Per simplex, the sorted ``index`` positions of its codimension-1 faces."""
+    return [
+        sorted(index[f] for f in combinations(s, len(s) - 1)) if len(s) > 1 else []
+        for s in simplices
+    ]
+
+
 def boundary_matrix(
     k: SimplicialComplex, d: int, dim_cap: int | None = None
 ) -> BoundaryMatrix:
@@ -106,15 +121,12 @@ def boundary_matrix(
     if d > cap:
         raise DimCapError(f"dimension {d} exceeds dim_cap {cap}")
     if d < 1:
-        vertices = tuple(k.faces(0)[0])
-        return BoundaryMatrix(d, (), vertices, tuple(() for _ in vertices))
-    faces = k.faces(d)
-    rows = tuple(faces[d - 1])
-    cols = tuple(faces[d])
+        rows, cols = (), tuple(k.faces(0)[0])
+    else:
+        faces = k.faces(d)
+        rows, cols = tuple(faces[d - 1]), tuple(faces[d])
     row_index = {s: i for i, s in enumerate(rows)}
-    columns = tuple(
-        tuple(sorted(row_index[f] for f in combinations(s, d))) for s in cols
-    )
+    columns = tuple(map(tuple, _boundary_columns(cols, row_index)))
     return BoundaryMatrix(d, rows, cols, columns)
 
 
@@ -142,10 +154,7 @@ def betti(
         if d >= len(faces) or not faces[d]:
             break
         row_index = {s: i for i, s in enumerate(faces[d - 1])}
-        columns = [
-            sorted(row_index[f] for f in combinations(s, d)) for s in faces[d]
-        ]
-        ranks[d] = _gf2.rank(columns, len(faces[d - 1]))
+        ranks[d] = _gf2.rank(_boundary_columns(faces[d], row_index), len(faces[d - 1]))
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
 
@@ -170,21 +179,24 @@ def frequency_filtration(
 
     A generating bond enters at c_max - count; each simplex at the min over
     generating bonds containing it.  Isolated vertices bound by no level-i
-    bond enter at 0.
+    bond enter at 0.  Bonds are visited most frequent first, so the first
+    value pushed down to a face is its minimum.
     """
     if not 1 <= i <= h.k:
         raise LevelRangeError(f"level {i} out of range 1..{h.k}")
     cap = resolve_dim_cap(dim_cap)
     k = level_complex(h, i)
-    bonds = h.level(i)
-    c_max = max(b.count for b in bonds)
-    generators = [(frozenset(b.constituents), float(c_max - b.count)) for b in bonds]
+    bonds = sorted(h.level(i), key=lambda b: -b.count)
+    c_max = bonds[0].count
     values: dict[tuple[int, ...], float] = {}
-    for simplex_level in k.faces(min(max(k.dim, 0), cap)):
-        for s in simplex_level:
-            sset = set(s)
-            vals = [v for gen, v in generators if sset <= gen]
-            values[s] = min(vals) if vals else 0.0
+    for b in bonds:
+        value = float(c_max - b.count)
+        for size in range(1, min(len(b.constituents), cap + 1) + 1):
+            for face in combinations(b.constituents, size):
+                values.setdefault(face, value)
+    for s in k.maximal_simplices:
+        if len(s) == 1:
+            values.setdefault(s, 0.0)
     return Filtration.from_values(k, values, dim_cap=cap)
 
 
@@ -196,13 +208,7 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     discarded as unreliable.
     """
     position = {s: i for i, s in enumerate(f.simplices)}
-    columns = [
-        sorted(position[face] for face in combinations(s, len(s) - 1))
-        if len(s) > 1
-        else []
-        for s in f.simplices
-    ]
-    lows = _gf2.reduce_lows(columns, len(f.simplices))
+    lows = _gf2.reduce_lows(_boundary_columns(f.simplices, position), len(f.simplices))
     paired_rows = {low for low in lows if low >= 0}
     intervals: list[tuple[int, float, float]] = []
     for j, low in enumerate(lows):

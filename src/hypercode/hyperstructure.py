@@ -109,24 +109,45 @@ class Hyperstructure:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Hyperstructure":
+        """Load an artifact, checking ids, constituents, bins and counts."""
         try:
             config = BuildConfig.from_json_obj(obj["config"])
-            levels = tuple(
-                tuple(
-                    Bond(
-                        id=b["id"],
-                        level=lvl + 1,
-                        constituents=tuple(b["constituents"]),
-                        count=b["count"],
-                        bins=tuple(b["bins"]),
-                    )
-                    for b in bonds
-                )
-                for lvl, bonds in enumerate(obj["levels"])
-            )
-            return cls(int(obj["n"]), levels, config)
+            n = _json_int(obj["n"], "n")
+            levels: list[tuple[Bond, ...]] = []
+            for lvl, bonds in enumerate(obj["levels"], start=1):
+                if not bonds:
+                    raise ParseError(f"level {lvl} has no bonds")
+                universe = n if lvl == 1 else len(levels[-1])
+                level = []
+                for pos, b in enumerate(bonds):
+                    where = f"level {lvl} bond {pos}"
+                    if _json_int(b["id"], f"{where} id") != pos:
+                        raise ParseError(f"{where}: id {b['id']} is not its position")
+                    members = _increasing(b["constituents"], f"{where} constituents", universe)
+                    bins = _increasing(b["bins"], f"{where} bins")
+                    if _json_int(b["count"], f"{where} count") != len(bins):
+                        raise ParseError(f"{where}: count {b['count']} != {len(bins)} bins")
+                    level.append(Bond(pos, lvl, members, len(bins), bins))
+                levels.append(tuple(level))
+            return cls(n, tuple(levels), config)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed hyperstructure JSON: {exc}") from exc
+
+
+def _json_int(x, what: str) -> int:
+    if type(x) is not int:
+        raise ParseError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _increasing(xs, what: str, universe: int | None = None) -> tuple[int, ...]:
+    """Strictly increasing ints, each in 0..universe-1 when a universe is given."""
+    out = tuple(_json_int(x, what) for x in xs)
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise ParseError(f"{what} must be strictly increasing, got {list(out)}")
+    if universe is not None and out and (out[0] < 0 or out[-1] >= universe):
+        raise ParseError(f"{what} {list(out)} outside 0..{universe - 1}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,12 +200,12 @@ def realize_level1(
 class _Builder:
     """Mutable working state for one chronological pass."""
 
-    def __init__(self, n: int, max_level: int):
-        self.n = n
+    def __init__(self, max_level: int):
         self.max_level = max_level
-        # per level: list of [constituents, count, [bins]]
-        self.levels: list[list[list]] = [[] for _ in range(max_level)]
+        # per level: list of (constituents, bins); a bond's count is len(bins)
+        self.levels: list[list[tuple]] = [[] for _ in range(max_level)]
         self.index: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_level)]
+        self.patterns: list[Pattern] = []  # level-1 vocabulary, by bond id
 
     def register(self, level: int, constituents: tuple[int, ...]) -> int:
         table = self.index[level - 1]
@@ -192,20 +213,18 @@ class _Builder:
         if bid is None:
             bid = len(self.levels[level - 1])
             table[constituents] = bid
-            self.levels[level - 1].append([constituents, 0, []])
+            self.levels[level - 1].append((constituents, []))
+            if level == 1:
+                self.patterns.append(Pattern(constituents))
         return bid
 
     def hit(self, level: int, bond_id: int, t: int) -> None:
-        entry = self.levels[level - 1][bond_id]
-        if not entry[2] or entry[2][-1] != t:
-            entry[1] += 1
-            entry[2].append(t)
-
-    def level1_patterns(self) -> list[Pattern]:
-        return [Pattern(c) for c, _, _ in self.levels[0]]
+        bins = self.levels[level - 1][bond_id][1]
+        if not bins or bins[-1] != t:
+            bins.append(t)
 
     def process_bin(self, t: int, active: Pattern, mode: str, keep_union: bool) -> None:
-        res = realize_level1(active, self.level1_patterns(), mode)
+        res = realize_level1(active, self.patterns, mode)
         if isinstance(res, NewPattern):
             realized = {self.register(1, res.pattern.members)}
         else:
@@ -222,7 +241,7 @@ class _Builder:
             new_id = self.register(lvl + 1, key)
             nxt = {
                 bid
-                for bid, (constituents, _, _) in enumerate(self.levels[lvl])
+                for bid, (constituents, _) in enumerate(self.levels[lvl])
                 if set(constituents) <= current
             }
             nxt.add(new_id)
@@ -240,15 +259,15 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     """
     config = config or BuildConfig()
     config.validate()
-    builder = _Builder(log.n, config.max_level)
+    builder = _Builder(config.max_level)
 
     if config.two_pass:
         # Pass 1 only collects the level-1 vocabulary; counts accrue in pass 2.
-        prepass = _Builder(log.n, 1)
+        prepass = _Builder(1)
         for t, active in log.bins:
             if not active.is_empty:
                 prepass.process_bin(t, active, config.decomposition, config.keep_union_words)
-        for pattern in prepass.level1_patterns():
+        for pattern in prepass.patterns:
             builder.register(1, pattern.members)
 
     for t, active in log.bins:
@@ -262,8 +281,8 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
         level = lvl0 + 1
         survivors: list[Bond] = []
         new_remap: dict[int, int] = {}
-        for bid, (constituents, count, bins) in enumerate(bonds):
-            if count < config.min_count:
+        for bid, (constituents, bins) in enumerate(bonds):
+            if len(bins) < config.min_count:
                 continue
             if level >= 2:
                 if any(c not in remap for c in constituents):
@@ -275,7 +294,7 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
                     id=len(survivors),
                     level=level,
                     constituents=constituents,
-                    count=count,
+                    count=len(bins),
                     bins=tuple(bins),
                 )
             )

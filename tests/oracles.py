@@ -66,6 +66,21 @@ def subcomplex_at(
     return sorted(maximal_naive(s for s in simplices if values[s] <= theta))
 
 
+def frequency_values_naive(bonds, maximal, top_dim):
+    """Filtration value of every face of ``maximal`` up to ``top_dim``.
+
+    ``bonds`` is a list of (constituents, count).  A face enters at the
+    minimum ``c_max - count`` over the bonds containing it, 0.0 if none.
+    """
+    c_max = max(count for _, count in bonds)
+    values = {}
+    for level in all_faces(maximal, top_dim):
+        for s in level:
+            vals = [c_max - count for members, count in bonds if set(s) <= set(members)]
+            values[s] = float(min(vals)) if vals else 0.0
+    return values
+
+
 def rebuild_pass_naive(bins, max_level=3):
     """Straight re-implementation of the per-bin detection rule.
 

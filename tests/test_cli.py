@@ -123,6 +123,67 @@ def test_malformed_artifact_exit_1(runner, tmp_path):
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
 
 
+def _set(path, value):
+    """Mutation that sets obj[path[0]][path[1]]... to value."""
+
+    def mutate(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+
+    return mutate
+
+
+def _drop_bins(obj):
+    del obj["levels"][0][0]["bins"]
+
+
+ARTIFACT_MUTATIONS = {
+    "n-float": _set(["n"], 9.0),
+    "n-bool": _set(["n"], True),
+    "id-string": _set(["levels", 0, 0, "id"], "0"),
+    "id-not-position": _set(["levels", 0, 1, "id"], 0),
+    "count-string": _set(["levels", 0, 0, "count"], "x"),
+    "count-not-len-bins": _set(["levels", 0, 0, "count"], 5),
+    "constituent-string": _set(["levels", 0, 0, "constituents"], ["a", 1]),
+    "constituent-out-of-range": _set(["levels", 0, 0, "constituents"], [0, 1, 9]),
+    "constituent-negative": _set(["levels", 0, 0, "constituents"], [-1, 1]),
+    "constituents-unsorted": _set(["levels", 0, 0, "constituents"], [1, 0, 2]),
+    "constituents-not-a-list": _set(["levels", 0, 0, "constituents"], 3),
+    "level2-dangling-id": _set(["levels", 1, 0, "constituents"], [0, 3]),
+    "level2-unsorted": _set(["levels", 1, 0, "constituents"], [1, 0]),
+    "bins-unsorted": _set(["levels", 0, 0, "bins"], [5, 1, 3]),
+    "bins-repeated": _set(["levels", 0, 0, "bins"], [0, 0, 3]),
+    "bin-string": _set(["levels", 0, 0, "bins"], ["0", 3, 5]),
+    "bins-missing": _drop_bins,
+    "empty-level": lambda obj: obj["levels"].append([]),
+    "levels-not-a-list": _set(["levels"], 5),
+}
+
+
+@pytest.mark.parametrize("mutate", ARTIFACT_MUTATIONS.values(), ids=ARTIFACT_MUTATIONS.keys())
+def test_mutated_artifact_is_one_error_line(runner, tmp_path, mutate):
+    _, hs = _pipeline(runner, tmp_path)
+    obj = json.loads(hs.read_text())
+    mutate(obj)
+    hs.write_text(json.dumps(obj))
+    r = runner.invoke(cli, ["persist", str(hs), "-o", str(tmp_path / "bars.csv")])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert "Traceback" not in r.output
+
+
+def test_nerve_dot_without_levels_fails_before_work(runner, tmp_path):
+    _, hs = _pipeline(runner, tmp_path)
+    out = tmp_path / "nerve.json"
+    r = runner.invoke(cli, ["nerve", str(hs), "-o", str(out), "--dot", str(tmp_path / "g.dot")])
+    assert r.exit_code == 1
+    assert "--dot-levels" in r.stderr
+    assert not out.exists()
+
+
 def test_usage_error_exit_2(runner):
     r = runner.invoke(cli, ["build", "--definitely-not-a-flag"])
     assert r.exit_code == 2
@@ -160,3 +221,12 @@ def test_dim_cap_env_override(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERCODE_DIM_CAP", "1")
     r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
     assert r.exit_code == 1  # level-1 complex has 2-simplices beyond the cap
+
+
+def test_dim_cap_env_not_an_integer(runner, tmp_path, monkeypatch):
+    _, hs = _pipeline(runner, tmp_path)
+    monkeypatch.setenv("HYPERCODE_DIM_CAP", "abc")
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
+    assert r.exit_code == 1
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert "HYPERCODE_DIM_CAP" in r.stderr and "'abc'" in r.stderr

@@ -209,3 +209,19 @@ def test_simplicial_complex_rejects_non_maximal_simplex():
         SimplicialComplex((0, 1, 2), frozenset(tuple(s) for s in sims))
     with pytest.raises(DimensionError, match=r"\(0, 1\)"):
         SimplicialComplex.from_json_obj({"vertices": [0, 1, 2], "maximal": sims})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"maximal": [[0]]},
+        {"vertices": [0], "maximal": [["a"]]},
+        {"vertices": [0, 1], "maximal": [[0.5]]},
+        {"vertices": 3, "maximal": [[0]]},
+        {"vertices": [0], "maximal": 7},
+        [],
+    ],
+)
+def test_complex_loader_raises_parse_error(obj):
+    with pytest.raises(ParseError):
+        SimplicialComplex.from_json_obj(obj)

@@ -19,9 +19,11 @@ from hypercode.homology import (
     frequency_filtration,
     persistence,
 )
-from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure
+from hypercode.codes import OccurrenceLog
+from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hyperstructure
+from hypercode.topology import level_complex
 
-from oracles import betti_naive, subcomplex_at
+from oracles import betti_naive, frequency_values_naive, subcomplex_at
 
 
 def _complex(maximal, n):
@@ -151,6 +153,39 @@ class TestFrequencyFiltration:
         hs = _level1_hs([({0, 1, 2}, 2), ({2, 3}, 5)], 4)
         f = frequency_filtration(hs, 1)
         f.validate()  # raises on violation
+
+    def test_bond_wider_than_cap(self):
+        # only faces up to the cap enter, even of a bond with > cap + 1 vertices
+        hs = _level1_hs([({0, 1, 2, 3}, 2), ({3, 4}, 1)], 5)
+        f = frequency_filtration(hs, 1, dim_cap=1)
+        value = dict(zip(f.simplices, f.values))
+        assert f.truncated
+        assert max(len(s) for s in f.simplices) == 2
+        expected = frequency_values_naive(
+            [((0, 1, 2, 3), 2), ((3, 4), 1)], [(0, 1, 2, 3), (3, 4)], 1
+        )
+        assert value == expected
+        assert value[(3, 4)] == 1.0 and value[(4,)] == 1.0 and value[(0, 3)] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(0, 6), max_size=5), max_size=14),
+    st.sampled_from(["exact-cover", "subset-realization"]),
+    st.sampled_from([1, 2, 5]),
+)
+def test_frequency_values_match_scan_oracle(bins, mode, cap):
+    log = OccurrenceLog(7, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+    hs = build_hyperstructure(log, BuildConfig(decomposition=mode))
+    for i in range(1, hs.k + 1):
+        f = frequency_filtration(hs, i, dim_cap=cap)
+        k = level_complex(hs, i)
+        expected = frequency_values_naive(
+            [(b.constituents, b.count) for b in hs.level(i)],
+            sorted(k.maximal_simplices),
+            min(max(k.dim, 0), cap),
+        )
+        assert dict(zip(f.simplices, f.values)) == expected
 
 
 class TestPersistence:
