@@ -1,9 +1,14 @@
-"""Benchmark the GF(2) reduction kernel, ``hypercode._gf2.reduce_lows``.
+"""Benchmark the GF(2) persistence reduction two ways on one filtration.
 
-Workload: full persistence reduction of random flag-complex filtrations,
-the same column layout the homology module produces.
+Workload: a random flag-complex filtration.  ``flat`` reduces the whole
+filtration's boundary matrix left to right with ``_gf2.reduce_lows``,
+rows and columns indexed by filtration position.  ``graded`` is
+``homology._graded_lows``, the path ``persistence`` and ``betti`` run: one
+matrix per dimension, top dimension first, with clearing.  Both times
+include building the columns.  The two must give the same (dim, birth,
+death) pairs; the script exits with an error if they differ.
 
-Usage: python benchmarks/bench_gf2.py [--points N] [--repeats R]
+Usage: python benchmarks/bench_gf2.py [--points N] [--repeats R] [--seed S]
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ import time
 from itertools import combinations
 
 from hypercode import _gf2
+from hypercode.homology import _graded_lows
 
 
-def random_filtration_columns(n_points: int, edge_prob: float, seed: int):
-    """Simplices of a random flag complex in a valid filtration order."""
+def random_filtration(n_points: int, edge_prob: float, seed: int):
+    """(simplex, value) pairs of a random flag complex in a valid filtration order."""
     rng = random.Random(seed)
     edges = {
         frozenset(e): rng.random()
@@ -31,20 +37,48 @@ def random_filtration_columns(n_points: int, edge_prob: float, seed: int):
         if all(e in edges for e in tri_edges):
             simplices.append((tri, max(edges[e] for e in tri_edges)))
     simplices.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
-    position = {s: i for i, (s, _) in enumerate(simplices)}
-    return [
-        sorted(position[f] for f in combinations(s, len(s) - 1)) if len(s) > 1 else []
-        for s, _ in simplices
+    return simplices
+
+
+def flat_pairs(filtration):
+    simplices = [s for s, _ in filtration]
+    position = {s: i for i, s in enumerate(simplices)}
+    columns = [
+        [position[f] for f in combinations(s, len(s) - 1)] if len(s) > 1 else []
+        for s in simplices
     ]
+    lows = _gf2.reduce_lows(columns, len(columns))
+    return sorted(
+        (len(s) - 2, filtration[low][1], filtration[j][1])
+        for j, (s, low) in enumerate(zip(simplices, lows))
+        if low >= 0
+    )
 
 
-def bench(fn, columns, repeats):
+def graded_pairs(filtration):
+    levels, values = [], []
+    for s, v in filtration:
+        while len(levels) < len(s):
+            levels.append([])
+            values.append([])
+        levels[len(s) - 1].append(s)
+        values[len(s) - 1].append(v)
+    lows = _graded_lows(levels)
+    return sorted(
+        (d - 1, values[d - 1][low], values[d][j])
+        for d in range(1, len(lows))
+        for j, low in enumerate(lows[d])
+        if low >= 0
+    )
+
+
+def bench(fn, filtration, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(columns, len(columns))
+        pairs = fn(filtration)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, pairs
 
 
 def main():
@@ -54,11 +88,17 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    columns = random_filtration_columns(args.points, 0.35, args.seed)
-    print(f"{len(columns)} simplices, {sum(len(c) for c in columns)} nonzeros")
+    filtration = random_filtration(args.points, 0.35, args.seed)
+    nonzeros = sum(len(s) for s, _ in filtration if len(s) > 1)
+    print(f"{len(filtration)} simplices, {nonzeros} nonzeros")
 
-    seconds = bench(_gf2.reduce_lows, columns, args.repeats)
-    print(f"reduce_lows : {seconds * 1e3:9.2f} ms")
+    flat_s, flat = bench(flat_pairs, filtration, args.repeats)
+    graded_s, graded = bench(graded_pairs, filtration, args.repeats)
+    if flat != graded:
+        raise SystemExit("error: flat and graded reductions give different pairs")
+    print(f"{len(flat)} (birth, death) pairs, equal on both paths")
+    print(f"flat reduce_lows     : {flat_s * 1e3:9.2f} ms")
+    print(f"graded with clearing : {graded_s * 1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

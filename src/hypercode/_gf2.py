@@ -8,7 +8,8 @@ GF2_BACKEND = "python"
 def reduce_lows(columns, n_rows):
     """Left-to-right column reduction over GF(2).
 
-    ``columns`` is a list of sorted row-index lists (one per column).
+    ``columns`` is any iterable (a generator too) of row-index iterables,
+    one per column, each in any row order; an empty one is a zero column.
     Returns, for each column, the row index of its lowest 1 after
     reduction, or -1 if the column was zeroed out.  The number of
     non-negative entries is the rank of the matrix.

@@ -38,9 +38,16 @@ def _write_json(path: str, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid text: {exc}") from exc
+
+
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -82,7 +89,7 @@ def cli():
 @_domain_errors
 def ingest(path, fmt, header, dt, neurons, output):
     """Parse spike data into an occurrence-log JSON file."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     if fmt == "matrix":
         _, log = codes.parse_spike_matrix(text, header=header)
     else:
@@ -158,10 +165,15 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
     """Compute the nerve of a hyperstructure."""
     if dot and not dot_levels:
         raise ParseError("--dot requires --dot-levels I J")
+    try:
+        levels = (
+            frozenset(int(x) for x in include_levels.split(",")) if include_levels else None
+        )
+    except ValueError:
+        raise ParseError(
+            f"--include-levels must be comma-separated integers, got {include_levels!r}"
+        ) from None
     hs = _load_hs(hs_path)
-    levels = (
-        frozenset(int(x) for x in include_levels.split(",")) if include_levels else None
-    )
     cfg = NerveConfig(rule=rule, include_levels=levels, clique_budget=clique_budget)
     k = nerve(hs, cfg)
     if output:

@@ -21,16 +21,24 @@ DEFAULT_DIM_CAP = 5
 
 
 def resolve_dim_cap(dim_cap: int | None = None) -> int:
-    """Explicit value, else HYPERCODE_DIM_CAP, else the default of 5."""
+    """Explicit value, else HYPERCODE_DIM_CAP, else the default of 5.
+
+    A cap below 1 would leave no boundary to reduce, so it raises.
+    """
     if dim_cap is not None:
+        if dim_cap < 1:
+            raise ConfigError(f"dim_cap must be at least 1, got {dim_cap}")
         return dim_cap
     raw = os.environ.get("HYPERCODE_DIM_CAP")
     if raw is None:
         return DEFAULT_DIM_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ConfigError(f"HYPERCODE_DIM_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ConfigError(f"HYPERCODE_DIM_CAP must be at least 1, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -105,12 +113,29 @@ class Barcode:
         )
 
 
-def _boundary_columns(simplices: Sequence[tuple[int, ...]], index: dict) -> list[list[int]]:
-    """Per simplex, the sorted ``index`` positions of its codimension-1 faces."""
-    return [
-        sorted(index[f] for f in combinations(s, len(s) - 1)) if len(s) > 1 else []
-        for s in simplices
-    ]
+def _graded_lows(levels: Sequence[Sequence[tuple[int, ...]]]) -> list[list[int]]:
+    """Reduce every boundary operator of a complex listed by dimension.
+
+    ``levels[d]`` holds the d-simplices in reduction order.  Returns, per
+    dimension d, the low of each reduced d-column as a row index into
+    ``levels[d - 1]``, or -1 (always -1 in dimension 0).
+
+    Dimensions reduce from the top down, so clearing applies: a d-simplex
+    that is already a pivot row of dimension d + 1 is a boundary, so its
+    column reduces to zero and is never built.  Row indices count within
+    one dimension, which keeps the big-int columns small.
+    """
+    lows = [[-1] * len(level) for level in levels]
+    pivots: set[int] = set()
+    for d in range(len(levels) - 1, 0, -1):
+        row_index = {s: i for i, s in enumerate(levels[d - 1])}
+        columns = (
+            () if j in pivots else [row_index[f] for f in combinations(s, d)]
+            for j, s in enumerate(levels[d])
+        )
+        lows[d] = _gf2.reduce_lows(columns, len(levels[d - 1]))
+        pivots = {low for low in lows[d] if low >= 0}
+    return lows
 
 
 def boundary_matrix(
@@ -126,7 +151,10 @@ def boundary_matrix(
         faces = k.faces(d)
         rows, cols = tuple(faces[d - 1]), tuple(faces[d])
     row_index = {s: i for i, s in enumerate(rows)}
-    columns = tuple(map(tuple, _boundary_columns(cols, row_index)))
+    columns = tuple(
+        tuple(sorted(row_index[f] for f in combinations(s, d))) if d >= 1 else ()
+        for s in cols
+    )
     return BoundaryMatrix(d, rows, cols, columns)
 
 
@@ -136,11 +164,13 @@ def betti(
     """Betti numbers over GF(2) up to max_dim (default: the complex dimension).
 
     beta_d = #d-simplices - rank d_d - rank d_{d+1}, ranks by GF(2)
-    column elimination.
+    column reduction with clearing.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
         max_dim = max(k.dim, 0)
+    if max_dim < 0:
+        raise ConfigError(f"max_dim must be non-negative, got {max_dim}")
     if k.dim > cap and max_dim >= cap:
         raise DimCapError(
             f"complex dimension {k.dim} exceeds dim_cap {cap}; "
@@ -149,12 +179,8 @@ def betti(
     faces = k.faces(min(max_dim + 1, cap))
     counts = [len(level) for level in faces]
     counts += [0] * (max_dim + 2 - len(counts))
-    ranks = [0] * (max_dim + 2)
-    for d in range(1, max_dim + 2):
-        if d >= len(faces) or not faces[d]:
-            break
-        row_index = {s: i for i, s in enumerate(faces[d - 1])}
-        ranks[d] = _gf2.rank(_boundary_columns(faces[d], row_index), len(faces[d - 1]))
+    ranks = [sum(1 for low in lows if low >= 0) for lows in _graded_lows(faces)]
+    ranks += [0] * (max_dim + 2 - len(ranks))
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
 
@@ -201,24 +227,32 @@ def frequency_filtration(
 
 
 def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
-    """Barcode of a filtration by standard GF(2) column reduction.
+    """Barcode of a filtration by GF(2) column reduction with clearing.
 
-    Zero-length intervals are dropped unless ``keep_zero``; when the
-    complex was truncated at dim_cap, intervals at dim_cap and above are
-    discarded as unreliable.
+    Zero-length intervals are dropped unless ``keep_zero``.  A truncated
+    filtration (complex dimension above dim_cap) holds simplices only up
+    to dimension dim_cap, so every interval of dimension dim_cap and above
+    is dropped from its barcode.
     """
-    position = {s: i for i, s in enumerate(f.simplices)}
-    lows = _gf2.reduce_lows(_boundary_columns(f.simplices, position), len(f.simplices))
-    paired_rows = {low for low in lows if low >= 0}
+    levels: list[list[tuple[int, ...]]] = []
+    values: list[list[float]] = []
+    for s, v in zip(f.simplices, f.values):
+        while len(levels) < len(s):
+            levels.append([])
+            values.append([])
+        levels[len(s) - 1].append(s)
+        values[len(s) - 1].append(v)
+    lows = _graded_lows(levels)
     intervals: list[tuple[int, float, float]] = []
-    for j, low in enumerate(lows):
-        if low >= 0:
-            dim = len(f.simplices[low]) - 1
-            birth, death = f.values[low], f.values[j]
-            if keep_zero or death > birth:
-                intervals.append((dim, birth, death))
-        elif j not in paired_rows:
-            intervals.append((len(f.simplices[j]) - 1, f.values[j], math.inf))
+    for d, level_lows in enumerate(lows):
+        paired_rows = set(lows[d + 1]) if d + 1 < len(lows) else set()
+        for j, low in enumerate(level_lows):
+            if low >= 0:
+                birth, death = values[d - 1][low], values[d][j]
+                if keep_zero or death > birth:
+                    intervals.append((d - 1, birth, death))
+            elif j not in paired_rows:
+                intervals.append((d, values[d][j], math.inf))
     if f.truncated:
         intervals = [iv for iv in intervals if iv[0] < f.dim_cap]
     intervals.sort()

@@ -54,6 +54,39 @@ def betti_naive(maximal: list[tuple[int, ...]], max_dim: int) -> tuple[int, ...]
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
 
+def persistence_naive(simplices, values) -> list[tuple[int, float, float]]:
+    """Sorted (dim, birth, death) intervals, zero-length ones included.
+
+    Dense left-to-right reduction of the whole filtration's boundary
+    matrix, rows and columns in the given order, with no clearing.
+    """
+    n = len(simplices)
+    position = {s: i for i, s in enumerate(simplices)}
+    reduced = []
+    low_to_col = {}
+    for j, s in enumerate(simplices):
+        col = [0] * n
+        if len(s) > 1:
+            for f in combinations(s, len(s) - 1):
+                col[position[f]] = 1
+        while any(col):
+            low = max(i for i in range(n) if col[i])
+            if low not in low_to_col:
+                low_to_col[low] = j
+                break
+            col = [a ^ b for a, b in zip(col, reduced[low_to_col[low]])]
+        reduced.append(col)
+    intervals = [
+        (len(simplices[low]) - 1, values[low], values[j]) for low, j in low_to_col.items()
+    ]
+    intervals += [
+        (len(s) - 1, values[j], float("inf"))
+        for j, s in enumerate(simplices)
+        if not any(reduced[j]) and j not in low_to_col
+    ]
+    return sorted(intervals)
+
+
 def maximal_naive(family) -> set[tuple[int, ...]]:
     """Nonempty members of a family not strictly contained in another member."""
     present = set(family)

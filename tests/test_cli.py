@@ -184,6 +184,28 @@ def test_nerve_dot_without_levels_fails_before_work(runner, tmp_path):
     assert not out.exists()
 
 
+def test_nerve_include_levels_not_integers(runner, tmp_path):
+    _, hs = _pipeline(runner, tmp_path)
+    r = runner.invoke(cli, ["nerve", str(hs), "--include-levels", "a,b"])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert "--include-levels" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "command", [["build"], ["persist"], ["ingest"]], ids=["build-json", "persist-json", "ingest-csv"]
+)
+def test_input_not_utf8_is_one_error_line(runner, tmp_path, command):
+    src = tmp_path / "input"
+    src.write_bytes(b"\xff\xfe")
+    r = runner.invoke(cli, [*command, str(src), "-o", str(tmp_path / "out")])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exit_2(runner):
     r = runner.invoke(cli, ["build", "--definitely-not-a-flag"])
     assert r.exit_code == 2
@@ -221,6 +243,28 @@ def test_dim_cap_env_override(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERCODE_DIM_CAP", "1")
     r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
     assert r.exit_code == 1  # level-1 complex has 2-simplices beyond the cap
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_dim_cap_below_one(runner, tmp_path, monkeypatch, cap):
+    _, hs = _pipeline(runner, tmp_path)
+    out = tmp_path / "bars.csv"
+    r = runner.invoke(cli, ["persist", str(hs), "--dim-cap", cap, "-o", str(out)])
+    assert r.exit_code == 1
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists()
+    monkeypatch.setenv("HYPERCODE_DIM_CAP", cap)
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
+    assert r.exit_code == 1
+    assert "HYPERCODE_DIM_CAP" in r.stderr and repr(cap) in r.stderr
+
+
+def test_betti_negative_max_dim(runner, tmp_path):
+    _, hs = _pipeline(runner, tmp_path)
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--max-dim", "-3"])
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
 
 
 def test_dim_cap_env_not_an_integer(runner, tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from hypercode.codes import OccurrenceLog
 from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hyperstructure
 from hypercode.topology import level_complex
 
-from oracles import betti_naive, frequency_values_naive, subcomplex_at
+from oracles import betti_naive, frequency_values_naive, persistence_naive, subcomplex_at
 
 
 def _complex(maximal, n):
@@ -106,6 +106,22 @@ def test_betti_matches_dense_oracle(maximal_sets):
     assert betti(k, 3) == betti_naive(sorted(k.maximal_simplices), 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(0, 7), min_size=1, max_size=6),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([1, 2, 3]),
+)
+def test_betti_below_cap_matches_dense_oracle(maximal_sets, cap):
+    # complexes may exceed the cap; beta_0..beta_{cap-1} need rank d_cap,
+    # the dimension whose pivots clear columns one dimension down
+    k = _complex(maximal_sets, 8)
+    assert betti(k, cap - 1, dim_cap=cap) == betti_naive(sorted(k.maximal_simplices), cap - 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -186,6 +202,24 @@ def test_frequency_values_match_scan_oracle(bins, mode, cap):
             min(max(k.dim, 0), cap),
         )
         assert dict(zip(f.simplices, f.values)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.frozensets(st.integers(0, 6), min_size=1, max_size=6),
+        st.integers(1, 5),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([1, 2, 3, 5]),
+)
+def test_persistence_matches_dense_oracle(patterns, cap):
+    f = frequency_filtration(_level1_hs(list(patterns.items()), 7), 1, dim_cap=cap)
+    expected = persistence_naive(f.simplices, f.values)
+    if f.truncated:
+        expected = [iv for iv in expected if iv[0] < cap]
+    assert list(persistence(f, keep_zero=True).intervals) == expected
 
 
 class TestPersistence:
