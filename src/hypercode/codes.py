@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -45,9 +46,6 @@ class Pattern:
 
     def as_set(self) -> frozenset[int]:
         return frozenset(self.members)
-
-    def issubset(self, other: "Pattern") -> bool:
-        return self.as_set() <= other.as_set()
 
 
 @dataclass(frozen=True)
@@ -219,15 +217,18 @@ def bin_event_list(
     events: Sequence[tuple[int, float]], dt: float, n: int
 ) -> OccurrenceLog:
     """Bin (neuron_id, timestamp) events into half-open windows [k*dt, (k+1)*dt)."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     binned: dict[int, set[int]] = {}
     for neuron, t in events:
         if not 0 <= neuron < n:
             raise DimensionError(f"neuron id {neuron} out of range for n={n}")
-        if t < 0:
-            raise DimensionError(f"negative timestamp {t}")
-        binned.setdefault(int(t // dt), set()).add(neuron)
+        if not 0 <= t < math.inf:
+            raise DimensionError(f"timestamp {t} is negative or not finite")
+        k = t // dt
+        if k == math.inf:
+            raise DimensionError(f"bin index of timestamp {t} at dt={dt} is not finite")
+        binned.setdefault(int(k), set()).add(neuron)
     if not binned:
         return OccurrenceLog(n, ())
     last = max(binned)
@@ -239,6 +240,14 @@ def code_of_log(log: OccurrenceLog) -> Code:
     """Distinct nonempty active sets of a log, re-encoded as codewords."""
     patterns = {active for _, active in log.bins if not active.is_empty}
     return Code(frozenset(indicator_word(p, log.n) for p in patterns), log.n)
+
+
+def bitmask(ids: Iterable[int]) -> int:
+    """The int with bit i set for every index i in ``ids``."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
 def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -255,9 +264,7 @@ def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
             break
         if s[0] < 0:
             raise DimensionError(f"negative index in {s}")
-        mask = 0
-        for i in s:
-            mask |= 1 << i
+        mask = bitmask(s)
         if not any(mask & m == mask for m in kept):
             kept.append(mask)
             out.add(s)
@@ -284,10 +291,19 @@ def log_to_json_obj(log: OccurrenceLog) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    if type(x) is not int:
+        raise ParseError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def log_from_json_obj(obj: dict) -> OccurrenceLog:
     try:
-        n = int(obj["n"])
-        bins = tuple((int(idx), Pattern.of(members)) for idx, members in obj["bins"])
+        n = _json_int(obj["n"], "n")
+        bins = tuple(
+            (_json_int(idx, "bin index"), Pattern.of(_json_int(i, "neuron id") for i in members))
+            for idx, members in obj["bins"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed log JSON: {exc}") from exc
     return OccurrenceLog(n, bins)

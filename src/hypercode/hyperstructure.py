@@ -7,10 +7,11 @@ over the bins of an :class:`~hypercode.codes.OccurrenceLog`.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from hypercode.codes import OccurrenceLog, Pattern
+from hypercode.codes import OccurrenceLog, Pattern, _json_int, bitmask
 from hypercode.errors import BondLookupError, ConfigError, ParseError
 
 DECOMPOSITION_MODES = ("exact-cover", "subset-realization")
@@ -134,12 +135,6 @@ class Hyperstructure:
             raise ParseError(f"malformed hyperstructure JSON: {exc}") from exc
 
 
-def _json_int(x, what: str) -> int:
-    if type(x) is not int:
-        raise ParseError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def _increasing(xs, what: str, universe: int | None = None) -> tuple[int, ...]:
     """Strictly increasing ints, each in 0..universe-1 when a universe is given."""
     out = tuple(_json_int(x, what) for x in xs)
@@ -150,51 +145,50 @@ def _increasing(xs, what: str, universe: int | None = None) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class Cover:
-    """Realization of an active set by already-known level-1 patterns."""
-
-    pattern_ids: tuple[int, ...]
+def _inside(masks: Sequence[int], mask: int) -> list[int]:
+    """Ids, ascending, of the known masks that lie inside ``mask``."""
+    return [i for i, m in enumerate(masks) if m & mask == m]
 
 
-@dataclass(frozen=True)
-class NewPattern:
-    """An active set that did not decompose: a fresh level-1 pattern."""
+def _realize(
+    active: int, masks: Sequence[int], order: Sequence[tuple], mode: str
+) -> tuple[int, ...]:
+    """Ids of the known level-1 masks that ``active`` realizes; () if none.
 
-    pattern: Pattern
+    ``order`` lists ``(-size, members, id)`` for every mask, sorted: the
+    exact-cover greedy takes disjoint candidates in that order.
+    """
+    if mode == "subset-realization":
+        return tuple(_inside(masks, active))
+    remaining = active
+    chosen: list[int] = []
+    for _, _, i in order:
+        m = masks[i]
+        if m & remaining == m:
+            remaining ^= m
+            chosen.append(i)
+            if not remaining:
+                return tuple(chosen)
+    return ()
 
 
 def realize_level1(
     active: Pattern, known: Sequence[Pattern], mode: str = "exact-cover"
-) -> Union[Cover, NewPattern]:
-    """Decide which known level-1 patterns a bin's active set realizes.
+) -> tuple[int, ...]:
+    """Positions in ``known`` of the level-1 patterns a bin's active set realizes.
 
     exact-cover: greedy disjoint cover, candidates ordered by
-    (size desc, members asc); anything short of an exact cover yields a
-    NewPattern.  subset-realization: every known pattern contained in the
-    active set counts as realized.
+    (size desc, members asc); anything short of an exact cover realizes
+    nothing.  subset-realization: every known pattern contained in the
+    active set is realized.  An empty result means the active set is a
+    new level-1 pattern.
     """
     if active.is_empty:
         raise ConfigError("active set must be nonempty")
-    if mode == "exact-cover":
-        order = sorted(range(len(known)), key=lambda i: (-len(known[i]), known[i].members))
-        remaining = set(active.members)
-        chosen: list[int] = []
-        for idx in order:
-            if known[idx].as_set() <= remaining:
-                remaining -= known[idx].as_set()
-                chosen.append(idx)
-                if not remaining:
-                    break
-        if not remaining and chosen:
-            return Cover(tuple(chosen))
-        return NewPattern(active)
-    if mode == "subset-realization":
-        hits = tuple(i for i, p in enumerate(known) if p.as_set() <= active.as_set())
-        if hits:
-            return Cover(hits)
-        return NewPattern(active)
-    raise ConfigError(f"unknown decomposition mode {mode!r}")
+    if mode not in DECOMPOSITION_MODES:
+        raise ConfigError(f"unknown decomposition mode {mode!r}")
+    order = sorted((-len(p), p.members, i) for i, p in enumerate(known))
+    return _realize(bitmask(active), [bitmask(p) for p in known], order, mode)
 
 
 class _Builder:
@@ -205,7 +199,10 @@ class _Builder:
         # per level: list of (constituents, bins); a bond's count is len(bins)
         self.levels: list[list[tuple]] = [[] for _ in range(max_level)]
         self.index: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_level)]
-        self.patterns: list[Pattern] = []  # level-1 vocabulary, by bond id
+        # per level, by bond id: constituents as a bitmask (neuron bits at
+        # level 1, lower-level bond ids above)
+        self.masks: list[list[int]] = [[] for _ in range(max_level)]
+        self.order: list[tuple] = []  # level 1: (-size, members, id), sorted
 
     def register(self, level: int, constituents: tuple[int, ...]) -> int:
         table = self.index[level - 1]
@@ -214,40 +211,26 @@ class _Builder:
             bid = len(self.levels[level - 1])
             table[constituents] = bid
             self.levels[level - 1].append((constituents, []))
+            self.masks[level - 1].append(bitmask(constituents))
             if level == 1:
-                self.patterns.append(Pattern(constituents))
+                bisect.insort(self.order, (-len(constituents), constituents, bid))
         return bid
 
-    def hit(self, level: int, bond_id: int, t: int) -> None:
-        bins = self.levels[level - 1][bond_id][1]
-        if not bins or bins[-1] != t:
-            bins.append(t)
-
     def process_bin(self, t: int, active: Pattern, mode: str, keep_union: bool) -> None:
-        res = realize_level1(active, self.patterns, mode)
-        if isinstance(res, NewPattern):
-            realized = {self.register(1, res.pattern.members)}
-        else:
-            realized = set(res.pattern_ids)
-            if keep_union and mode == "exact-cover" and len(res.pattern_ids) >= 2:
-                realized.add(self.register(1, active.members))
-        for bid in realized:
-            self.hit(1, bid, t)
-        current = realized
+        realized = set(_realize(bitmask(active), self.masks[0], self.order, mode))
+        if not realized or (keep_union and mode == "exact-cover" and len(realized) >= 2):
+            realized.add(self.register(1, active.members))
+        current = sorted(realized)
+        for bid in current:
+            self.levels[0][bid][1].append(t)
         for lvl in range(1, self.max_level):
             if len(current) < 2:
                 break
-            key = tuple(sorted(current))
-            new_id = self.register(lvl + 1, key)
-            nxt = {
-                bid
-                for bid, (constituents, _) in enumerate(self.levels[lvl])
-                if set(constituents) <= current
-            }
-            nxt.add(new_id)
-            for bid in nxt:
-                self.hit(lvl + 1, bid, t)
-            current = nxt
+            # the new bond's mask is the mask of ``current``, so it lies inside
+            self.register(lvl + 1, tuple(current))
+            current = _inside(self.masks[lvl], bitmask(current))
+            for bid in current:
+                self.levels[lvl][bid][1].append(t)
 
 
 def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) -> Hyperstructure:
@@ -267,8 +250,8 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
         for t, active in log.bins:
             if not active.is_empty:
                 prepass.process_bin(t, active, config.decomposition, config.keep_union_words)
-        for pattern in prepass.patterns:
-            builder.register(1, pattern.members)
+        for constituents, _ in prepass.levels[0]:
+            builder.register(1, constituents)
 
     for t, active in log.bins:
         if not active.is_empty:
@@ -277,8 +260,7 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     # Prune by count, then cascade-drop orphans upward, reindexing per level.
     levels: list[tuple[Bond, ...]] = []
     remap: dict[int, int] = {}
-    for lvl0, bonds in enumerate(builder.levels):
-        level = lvl0 + 1
+    for level, bonds in enumerate(builder.levels, start=1):
         survivors: list[Bond] = []
         new_remap: dict[int, int] = {}
         for bid, (constituents, bins) in enumerate(bonds):
@@ -287,17 +269,9 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
             if level >= 2:
                 if any(c not in remap for c in constituents):
                     continue
-                constituents = tuple(sorted(remap[c] for c in constituents))
+                constituents = tuple(remap[c] for c in constituents)  # remap keeps order
             new_remap[bid] = len(survivors)
-            survivors.append(
-                Bond(
-                    id=len(survivors),
-                    level=level,
-                    constituents=constituents,
-                    count=len(bins),
-                    bins=tuple(bins),
-                )
-            )
+            survivors.append(Bond(len(survivors), level, constituents, len(bins), tuple(bins)))
         remap = new_remap
         levels.append(tuple(survivors))
     while levels and not levels[-1]:

@@ -59,7 +59,6 @@ class GluingGraph:
 class NerveConfig:
     rule: str = "pairwise"
     include_levels: frozenset[int] | None = None  # None = all levels
-    include_j: dict[int, frozenset[int]] | None = None  # None = all j < i
     clique_budget: int = DEFAULT_CLIQUE_BUDGET
 
     def validate(self) -> None:
@@ -229,8 +228,7 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
             labels.append((i, b.id))
     candidates: set[tuple[int, ...]] = {(v,) for v in range(len(labels))}
     for i in levels:
-        js = range(i) if cfg.include_j is None else sorted(cfg.include_j.get(i, ()))
-        for j in js:
+        for j in range(i):
             graph = gluing_graph(h, i, j)
             adjacency = {v: set() for v in graph.vertices}
             for a, b in graph.edges:

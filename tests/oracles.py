@@ -114,12 +114,15 @@ def frequency_values_naive(bonds, maximal, top_dim):
     return values
 
 
-def rebuild_pass_naive(bins, max_level=3):
+def rebuild_pass_naive(bins, max_level=3, mode="exact-cover"):
     """Straight re-implementation of the per-bin detection rule.
 
     ``bins`` is a list of (bin_index, frozenset-of-neurons).  Returns the
-    levels as lists of (constituents, count) in registration order, using
-    exact-cover realization with largest-first greedy covers.
+    levels as lists of (constituents, count) in registration order.  A bin
+    realizes, under ``mode`` "exact-cover", a largest-first greedy cover of
+    its active set by known patterns, and under "subset-realization" every
+    known pattern inside its active set; realizing nothing makes the active
+    set a new pattern.
     """
     levels = [[] for _ in range(max_level)]  # entries: [constituents, count, bins]
 
@@ -133,14 +136,21 @@ def rebuild_pass_naive(bins, max_level=3):
         if not active:
             continue
         known = [entry[0] for entry in levels[0]]
-        order = sorted(range(len(known)), key=lambda i: (-len(known[i]), tuple(sorted(known[i]))))
-        remaining = set(active)
-        chosen = []
-        for idx in order:
-            if set(known[idx]) <= remaining:
-                remaining -= set(known[idx])
-                chosen.append(idx)
-        if remaining or not chosen:
+        if mode == "exact-cover":
+            order = sorted(
+                range(len(known)), key=lambda i: (-len(known[i]), tuple(sorted(known[i])))
+            )
+            remaining = set(active)
+            chosen = []
+            for idx in order:
+                if set(known[idx]) <= remaining:
+                    remaining -= set(known[idx])
+                    chosen.append(idx)
+            if remaining:
+                chosen = []
+        else:
+            chosen = [idx for idx, members in enumerate(known) if set(members) <= active]
+        if not chosen:
             constituents = tuple(sorted(active))
             idx = find(1, constituents)
             if idx is None:

@@ -274,3 +274,46 @@ def test_dim_cap_env_not_an_integer(runner, tmp_path, monkeypatch):
     assert r.exit_code == 1
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
     assert "HYPERCODE_DIM_CAP" in r.stderr and "'abc'" in r.stderr
+
+
+LOG_NOT_INTEGER = {
+    "n-float": {"n": 3.9, "bins": [[0, [0, 1]]]},
+    "n-bool": {"n": True, "bins": [[0, [0]]]},
+    "bin-index-float": {"n": 3, "bins": [[0.5, [0, 1]]]},
+    "neuron-float": {"n": 3, "bins": [[0, [0.5, 1]]]},
+}
+
+
+@pytest.mark.parametrize("obj", LOG_NOT_INTEGER.values(), ids=LOG_NOT_INTEGER.keys())
+def test_build_log_not_integer_is_one_error_line(runner, tmp_path, obj):
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(obj))
+    out = tmp_path / "hs.json"
+    r = runner.invoke(cli, ["build", str(log), "-o", str(out)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "events, dt",
+    [
+        ("0,nan\n", "0.5"),
+        ("0,inf\n", "0.5"),
+        ("0,1e300\n", "1e-10"),
+        ("0,0.4\n", "nan"),
+        ("0,0.4\n", "inf"),
+        ("0,0.4\n", "1e-320"),
+    ],
+    ids=["t-nan", "t-inf", "bin-index-overflow", "dt-nan", "dt-inf", "dt-subnormal"],
+)
+def test_ingest_events_not_finite_is_one_error_line(runner, tmp_path, events, dt):
+    src = tmp_path / "events.csv"
+    src.write_text("neuron_id,timestamp\n" + events)
+    out = tmp_path / "log.json"
+    r = runner.invoke(cli, ["ingest", "--format", "events", "--dt", dt, str(src), "-o", str(out)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists()

@@ -7,9 +7,7 @@ from hypercode.codes import OccurrenceLog, Pattern, parse_spike_matrix
 from hypercode.errors import BondLookupError, ConfigError
 from hypercode.hyperstructure import (
     BuildConfig,
-    Cover,
     Hyperstructure,
-    NewPattern,
     boundary,
     build_hyperstructure,
     canonical_form,
@@ -36,30 +34,28 @@ class TestRealizeLevel1:
     def test_exact_cover_of_union(self):
         a, b = Pattern((0, 1, 2)), Pattern((3, 4, 5))
         res = realize_level1(Pattern((0, 1, 2, 3, 4, 5)), [a, b], "exact-cover")
-        assert isinstance(res, Cover)
-        assert set(res.pattern_ids) == {0, 1}
+        assert set(res) == {0, 1}
 
     def test_first_sighting(self):
         res = realize_level1(Pattern((1, 3)), [], "exact-cover")
-        assert res == NewPattern(Pattern((1, 3)))
+        assert res == ()
 
     def test_no_exact_cover_makes_new_pattern(self):
         a = Pattern((0, 1, 2))
         active = Pattern((0, 1, 2, 8))
         res = realize_level1(active, [a], "exact-cover")
-        assert res == NewPattern(active)
+        assert res == ()
         # exhaustive check: no sub-multiset of known patterns covers it
         assert a.as_set() != active.as_set()
 
     def test_subset_realization(self):
         known = [Pattern((0, 1)), Pattern((2,)), Pattern((5, 6))]
         res = realize_level1(Pattern((0, 1, 2, 3)), known, "subset-realization")
-        assert isinstance(res, Cover)
-        assert set(res.pattern_ids) == {0, 1}
+        assert set(res) == {0, 1}
 
     def test_subset_realization_none(self):
         res = realize_level1(Pattern((9,)), [Pattern((0, 1))], "subset-realization")
-        assert res == NewPattern(Pattern((9,)))
+        assert res == ()
 
     def test_empty_active_rejected(self):
         with pytest.raises(ConfigError):
@@ -197,6 +193,39 @@ def test_referential_integrity_and_monotone_counts(bins, mode):
             )
 
 
+# bins that are unions of a few overlapping assemblies, so that covers
+# both succeed and fail
+assembly_bins_strategy = st.lists(
+    st.frozensets(st.integers(0, 5), min_size=1, max_size=3), min_size=2, max_size=6
+).flatmap(
+    lambda assemblies: st.lists(
+        st.lists(st.sampled_from(assemblies), min_size=1, max_size=3).map(
+            lambda parts: set().union(*parts)
+        ),
+        min_size=4,
+        max_size=24,
+    )
+)
+
+
+@given(
+    st.one_of(bins_strategy, assembly_bins_strategy),
+    st.sampled_from(["exact-cover", "subset-realization"]),
+    st.integers(1, 4),
+)
+@settings(max_examples=500, deadline=None)
+def test_build_matches_naive_pass(bins, mode, max_level):
+    hs = build_hyperstructure(
+        _log(bins, 7), BuildConfig(max_level=max_level, decomposition=mode)
+    )
+    naive = rebuild_pass_naive(
+        [(t, frozenset(s)) for t, s in enumerate(bins)], max_level, mode
+    )
+    while naive and not naive[-1]:
+        naive.pop()
+    assert [[(b.constituents, b.count) for b in level] for level in hs.levels] == naive
+
+
 @given(bins_strategy)
 @settings(max_examples=40, deadline=None)
 def test_build_deterministic(bins):
@@ -213,9 +242,8 @@ def test_max_level_1_equals_realize_outputs(bins):
     for _, active in log.bins:
         if active.is_empty:
             continue
-        res = realize_level1(active, known, "exact-cover")
-        if isinstance(res, NewPattern):
-            known.append(res.pattern)
+        if not realize_level1(active, known, "exact-cover"):
+            known.append(active)
     if hs.k == 0:
         assert not known
     else:
