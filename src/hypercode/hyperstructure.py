@@ -260,7 +260,8 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     # Prune by count, then cascade-drop orphans upward, reindexing per level.
     levels: list[tuple[Bond, ...]] = []
     remap: dict[int, int] = {}
-    for level, bonds in enumerate(builder.levels, start=1):
+    for lvl0, bonds in enumerate(builder.levels):
+        level = lvl0 + 1
         survivors: list[Bond] = []
         new_remap: dict[int, int] = {}
         for bid, (constituents, bins) in enumerate(bonds):
@@ -271,7 +272,15 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
                     continue
                 constituents = tuple(remap[c] for c in constituents)  # remap keeps order
             new_remap[bid] = len(survivors)
-            survivors.append(Bond(len(survivors), level, constituents, len(bins), tuple(bins)))
+            survivors.append(
+                Bond(
+                    id=len(survivors),
+                    level=level,
+                    constituents=constituents,
+                    count=len(bins),
+                    bins=tuple(bins),
+                )
+            )
         remap = new_remap
         levels.append(tuple(survivors))
     while levels and not levels[-1]:

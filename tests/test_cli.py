@@ -306,7 +306,7 @@ def test_build_log_not_integer_is_one_error_line(runner, tmp_path, obj):
         ("0,0.4\n", "inf"),
         ("0,0.4\n", "1e-320"),
     ],
-    ids=["t-nan", "t-inf", "bin-index-overflow", "dt-nan", "dt-inf", "dt-subnormal"],
+    ids=["t-nan", "t-inf", "bin-index-not-finite", "dt-nan", "dt-inf", "dt-subnormal"],
 )
 def test_ingest_events_not_finite_is_one_error_line(runner, tmp_path, events, dt):
     src = tmp_path / "events.csv"
