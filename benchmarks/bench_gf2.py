@@ -4,7 +4,7 @@ Workload: a random flag-complex filtration.  ``flat`` reduces the whole
 filtration's boundary matrix left to right with ``_gf2.reduce_lows``,
 rows and columns indexed by filtration position.  ``graded`` is
 ``homology._graded_lows``, the path ``persistence`` and ``betti`` run: one
-matrix per dimension, top dimension first, with clearing.  Both times
+coboundary matrix per dimension, bottom up, with clearing.  Both times
 include building the columns.  The two must give the same (dim, birth,
 death) pairs; the script exits with an error if they differ.
 
@@ -63,12 +63,12 @@ def graded_pairs(filtration):
             values.append([])
         levels[len(s) - 1].append(s)
         values[len(s) - 1].append(v)
-    lows = _graded_lows(levels)
+    pairs = _graded_lows(levels)
     return sorted(
-        (d - 1, values[d - 1][low], values[d][j])
-        for d in range(1, len(lows))
-        for j, low in enumerate(lows[d])
-        if low >= 0
+        (d, values[d][j], values[d + 1][p])
+        for d, level_pairs in enumerate(pairs)
+        for j, p in enumerate(level_pairs)
+        if p >= 0
     )
 
 
@@ -81,12 +81,12 @@ def bench(fn, filtration, repeats):
     return best, pairs
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=120)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     filtration = random_filtration(args.points, 0.35, args.seed)
     nonzeros = sum(len(s) for s, _ in filtration if len(s) > 1)

@@ -1,4 +1,4 @@
-"""GF(2) column reduction on big-int bitset columns."""
+"""GF(2) column reduction on sparse columns, promoted to big-int bitsets."""
 
 from __future__ import annotations
 
@@ -9,32 +9,42 @@ def reduce_lows(columns, n_rows):
     """Left-to-right column reduction over GF(2).
 
     ``columns`` is any iterable (a generator too) of row-index iterables,
-    one per column, each in any row order; an empty one is a zero column.
-    Returns, for each column, the row index of its lowest 1 after
-    reduction, or -1 if the column was zeroed out.  The number of
-    non-negative entries is the rank of the matrix.
+    one per column, each in any row order; an empty one is a zero column
+    and a repeated row index counts once.  Returns, for each column, the
+    row index of its lowest 1 after reduction, or -1 if the column was
+    zeroed out.  The number of non-negative entries is the rank of the
+    matrix.
+
+    Columns stay sparse until their first XOR: a column is kept as its
+    row tuple with low ``max(rows)``, and becomes a big-int bitset only
+    when that low is already a pivot's.  A stored pivot is converted to
+    a big-int the first time it is XORed into another column.
     """
     lows: list[int] = []
-    reduced: list[int] = []
-    low_to_col: dict[int, int] = {}
+    pivots: dict[int, tuple[int, ...] | int] = {}
     for rows in columns:
-        bits = 0
-        for r in rows:
-            bits |= 1 << r
-        while bits:
-            low = bits.bit_length() - 1
-            pivot = low_to_col.get(low)
-            if pivot is None:
-                break
-            bits ^= reduced[pivot]
-        reduced.append(bits)
-        if bits:
-            low = bits.bit_length() - 1
-            low_to_col[low] = len(reduced) - 1
-            lows.append(low)
-        else:
-            lows.append(-1)
+        column = tuple(rows)
+        low = max(column, default=-1)
+        pivot = pivots.get(low)
+        if pivot is not None:
+            column = _bits(column)
+            while pivot is not None:
+                if type(pivot) is tuple:
+                    pivot = pivots[low] = _bits(pivot)
+                column ^= pivot
+                low = column.bit_length() - 1
+                pivot = pivots.get(low)
+        if low >= 0:
+            pivots[low] = column
+        lows.append(low)
     return lows
+
+
+def _bits(rows):
+    bits = 0
+    for r in rows:
+        bits |= 1 << r
+    return bits
 
 
 def rank(columns, n_rows):

@@ -1,6 +1,8 @@
 """GF(2) simplicial homology, frequency filtrations and persistence barcodes.
 
-The rank/reduction inner loop is :mod:`hypercode._gf2`.
+Betti numbers and barcodes both reduce the coboundary, bottom up, with
+clearing (``_graded_lows``); the rank/reduction inner loop is
+:mod:`hypercode._gf2`.
 """
 
 from __future__ import annotations
@@ -114,28 +116,38 @@ class Barcode:
 
 
 def _graded_lows(levels: Sequence[Sequence[tuple[int, ...]]]) -> list[list[int]]:
-    """Reduce every boundary operator of a complex listed by dimension.
+    """Pair the simplices of a complex by dimension: coboundary, bottom up, clearing.
 
     ``levels[d]`` holds the d-simplices in reduction order.  Returns, per
-    dimension d, the low of each reduced d-column as a row index into
-    ``levels[d - 1]``, or -1 (always -1 in dimension 0).
+    dimension d, for each d-simplex ``levels[d][j]`` the index into
+    ``levels[d + 1]`` of the (d+1)-simplex it pairs with, or -1 (always -1
+    in the top dimension).
 
-    Dimensions reduce from the top down, so clearing applies: a d-simplex
-    that is already a pivot row of dimension d + 1 is a boundary, so its
-    column reduces to zero and is never built.  Row indices count within
-    one dimension, which keeps the big-int columns small.
+    Each coboundary operator delta_d is reduced on its own, from dimension
+    0 up (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021):
+    columns are the d-simplices and rows the (d+1)-simplices, both in
+    reverse order, so a column's low is the first coface in order and the
+    pairs are those of the boundary reduction.  Clearing runs upward: a
+    (d+1)-simplex that is already a pivot of delta_d gets an empty column
+    in delta_{d+1}.  A d-simplex is essential when it is neither paired
+    nor a pivot one dimension down, and rank d_{d+1} = rank delta_d.
     """
-    lows = [[-1] * len(level) for level in levels]
-    pivots: set[int] = set()
-    for d in range(len(levels) - 1, 0, -1):
-        row_index = {s: i for i, s in enumerate(levels[d - 1])}
-        columns = (
-            () if j in pivots else [row_index[f] for f in combinations(s, d)]
-            for j, s in enumerate(levels[d])
-        )
-        lows[d] = _gf2.reduce_lows(columns, len(levels[d - 1]))
-        pivots = {low for low in lows[d] if low >= 0}
-    return lows
+    pairs = [[-1] * len(level) for level in levels]
+    cleared: set[int] = set()
+    for d in range(len(levels) - 1):
+        level, n_rows, last = levels[d], len(levels[d + 1]), len(levels[d]) - 1
+        cofaces: dict[tuple[int, ...], list[int]] = {s: [] for s in level}
+        for row, t in zip(range(n_rows - 1, -1, -1), levels[d + 1]):
+            for f in combinations(t, d + 1):
+                cofaces[f].append(row)
+        columns = (() if j in cleared else cofaces[level[j]] for j in range(last, -1, -1))
+        lows = _gf2.reduce_lows(columns, n_rows)
+        cleared = set()
+        for k, low in enumerate(lows):
+            if low >= 0:
+                pairs[d][last - k] = n_rows - 1 - low
+                cleared.add(n_rows - 1 - low)
+    return pairs
 
 
 def boundary_matrix(
@@ -163,8 +175,8 @@ def betti(
 ) -> tuple[int, ...]:
     """Betti numbers over GF(2) up to max_dim (default: the complex dimension).
 
-    beta_d = #d-simplices - rank d_d - rank d_{d+1}, ranks by GF(2)
-    column reduction with clearing.
+    beta_d = #d-simplices - rank d_d - rank d_{d+1}, where rank d_{d+1} is
+    rank delta_d, the coboundary reduced bottom up with clearing.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
@@ -179,7 +191,7 @@ def betti(
     faces = k.faces(min(max_dim + 1, cap))
     counts = [len(level) for level in faces]
     counts += [0] * (max_dim + 2 - len(counts))
-    ranks = [sum(1 for low in lows if low >= 0) for lows in _graded_lows(faces)]
+    ranks = [0] + [sum(1 for p in pairs if p >= 0) for pairs in _graded_lows(faces)]
     ranks += [0] * (max_dim + 2 - len(ranks))
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
@@ -227,7 +239,11 @@ def frequency_filtration(
 
 
 def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
-    """Barcode of a filtration by GF(2) column reduction with clearing.
+    """Barcode of a filtration: coboundary, bottom up, clearing.
+
+    A pair (sigma, tau) of the coboundary reduction is the interval
+    (dim sigma, value sigma, value tau); a simplex neither paired nor a
+    pivot one dimension down is an infinite bar.
 
     Zero-length intervals are dropped unless ``keep_zero``.  A truncated
     filtration (complex dimension above dim_cap) holds simplices only up
@@ -242,16 +258,16 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
             values.append([])
         levels[len(s) - 1].append(s)
         values[len(s) - 1].append(v)
-    lows = _graded_lows(levels)
+    pairs = _graded_lows(levels)
     intervals: list[tuple[int, float, float]] = []
-    for d, level_lows in enumerate(lows):
-        paired_rows = set(lows[d + 1]) if d + 1 < len(lows) else set()
-        for j, low in enumerate(level_lows):
-            if low >= 0:
-                birth, death = values[d - 1][low], values[d][j]
+    for d, level_pairs in enumerate(pairs):
+        killed = set(pairs[d - 1]) if d else set()
+        for j, p in enumerate(level_pairs):
+            if p >= 0:
+                birth, death = values[d][j], values[d + 1][p]
                 if keep_zero or death > birth:
-                    intervals.append((d - 1, birth, death))
-            elif j not in paired_rows:
+                    intervals.append((d, birth, death))
+            elif j not in killed:
                 intervals.append((d, values[d][j], math.inf))
     if f.truncated:
         intervals = [iv for iv in intervals if iv[0] < f.dim_cap]

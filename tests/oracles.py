@@ -29,6 +29,29 @@ def gf2_rank_dense(matrix: list[list[int]]) -> int:
     return rank
 
 
+def gf2_lows_dense(columns, n_rows) -> list[int]:
+    """Lowest 1 of each column after dense left-to-right elimination, -1 if zeroed.
+
+    A repeated row index in a column counts once.
+    """
+    reduced = []
+    lows = []
+    for rows in columns:
+        col = [0] * n_rows
+        for r in rows:
+            col[r] = 1
+        low = -1
+        while any(col):
+            low = max(i for i in range(n_rows) if col[i])
+            if low not in lows:
+                break
+            col = [a ^ b for a, b in zip(col, reduced[lows.index(low)])]
+            low = -1
+        reduced.append(col)
+        lows.append(low)
+    return lows
+
+
 def all_faces(maximal: list[tuple[int, ...]], max_dim: int) -> list[list[tuple[int, ...]]]:
     by_dim = [set() for _ in range(max_dim + 1)]
     for s in maximal:

@@ -222,6 +222,28 @@ def test_persistence_matches_dense_oracle(patterns, cap):
     assert list(persistence(f, keep_zero=True).intervals) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        st.frozensets(st.integers(0, 7), min_size=1, max_size=7),
+        st.integers(1, 5),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([1, 2, 3, 5]),
+)
+def test_infinite_bars_match_betti(patterns, cap):
+    # persistence reduces in filtration order, betti in lexicographic
+    # order; below the cap both must count the same homology
+    hs = _level1_hs(list(patterns.items()), 8)
+    k = level_complex(hs, 1)
+    bars = persistence(frequency_filtration(hs, 1, dim_cap=cap))
+    top = min(k.dim, cap - 1)
+    expected = list(betti(k, max_dim=top, dim_cap=cap)) + [0] * (cap - 1 - top)
+    infinite = [sum(1 for _, e in bars.in_dim(d) if math.isinf(e)) for d in range(cap)]
+    assert infinite == expected
+
+
 class TestPersistence:
     def test_single_vertex(self):
         k = _complex([(0,)], 1)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercode.codes import OccurrenceLog, Pattern, parse_spike_matrix
 from hypercode.errors import BondLookupError, ConfigError
@@ -251,10 +251,14 @@ def test_max_level_1_equals_realize_outputs(bins):
 
 
 @given(bins_strategy)
+@example([{0}, {0, 1}, {2, 6}, {0, 2, 6}, {0, 1, 2, 6}])
 @settings(max_examples=30, deadline=None)
 def test_rebuild_stability(bins):
-    # restricting the log to the bins of a bond's recursive downset
-    # reproduces a bond with the same canonical form
+    # restricting the log to the bins of a bond's recursive downset, plus
+    # the first sighting of every level-1 pattern known by the last of
+    # those bins, reproduces a bond with the same canonical form.  The
+    # downset alone is not enough under exact cover: in the example,
+    # {0, 2, 6} decomposes only while {0} is known.
     log = _log(bins, 7)
     hs = build_hyperstructure(log)
     for lvl in range(1, hs.k + 1):
@@ -267,6 +271,8 @@ def test_rebuild_stability(bins):
                 }
                 level -= 1
                 keep.update(t for bid in frontier for t in hs.bond(level, bid).bins)
+            last = max(keep)
+            keep.update(p.bins[0] for p in hs.level(1) if p.bins[0] <= last)
             sublog = OccurrenceLog(
                 7, tuple(bt for bt in log.bins if bt[0] in keep)
             )

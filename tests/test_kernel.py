@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercode import _gf2
-from oracles import gf2_rank_dense
+from oracles import gf2_lows_dense, gf2_rank_dense
 
 
 def _dense(columns, n_rows):
@@ -25,6 +25,30 @@ def _dense(columns, n_rows):
 def test_rank_matches_dense_oracle(case):
     n_rows, columns = case
     assert _gf2.rank(columns, n_rows) == gf2_rank_dense(_dense(columns, n_rows))
+
+
+@st.composite
+def _columns(draw):
+    """Unsorted columns with repeated rows and empty ones, plus a run of
+    columns sharing one low, so one stored pivot is XORed several times."""
+    n_rows = draw(st.integers(1, 40))
+    shared = draw(st.integers(0, n_rows - 1))
+    anywhere = st.lists(st.integers(0, n_rows - 1), max_size=n_rows + 3)
+    on_shared = st.lists(st.integers(0, shared), max_size=shared + 2).map(
+        lambda rows: rows + [shared]
+    )
+    return n_rows, draw(st.lists(st.one_of(anywhere, on_shared), max_size=25))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns(), st.booleans())
+@example((5, [[3, 1], [3], [3, 0], [3, 1, 0], [], [2, 2]]), True)
+def test_reduce_lows_matches_dense_oracle(case, generators):
+    n_rows, columns = case
+    expected = gf2_lows_dense(columns, n_rows)
+    if generators:
+        columns = ((r for r in rows) for rows in columns)
+    assert _gf2.reduce_lows(columns, n_rows) == expected
 
 
 def test_empty_matrix():
