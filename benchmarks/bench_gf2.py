@@ -47,7 +47,7 @@ def flat_pairs(filtration):
         [position[f] for f in combinations(s, len(s) - 1)] if len(s) > 1 else []
         for s in simplices
     ]
-    lows = _gf2.reduce_lows(columns, len(columns))
+    lows = _gf2.reduce_lows(columns)
     return sorted(
         (len(s) - 2, filtration[low][1], filtration[j][1])
         for j, (s, low) in enumerate(zip(simplices, lows))

@@ -5,7 +5,7 @@ from __future__ import annotations
 GF2_BACKEND = "python"
 
 
-def reduce_lows(columns, n_rows):
+def reduce_lows(columns):
     """Left-to-right column reduction over GF(2).
 
     ``columns`` is any iterable (a generator too) of row-index iterables,
@@ -47,6 +47,6 @@ def _bits(rows):
     return bits
 
 
-def rank(columns, n_rows):
+def rank(columns):
     """GF(2) rank of a sparse column matrix."""
-    return sum(1 for low in reduce_lows(columns, n_rows) if low >= 0)
+    return sum(1 for low in reduce_lows(columns) if low >= 0)

@@ -216,7 +216,10 @@ def render_matrix(n: int, log: OccurrenceLog) -> str:
 def bin_event_list(
     events: Sequence[tuple[int, float]], dt: float, n: int
 ) -> OccurrenceLog:
-    """Bin (neuron_id, timestamp) events into half-open windows [k*dt, (k+1)*dt)."""
+    """Bin (neuron_id, timestamp) events into half-open windows [k*dt, (k+1)*dt).
+
+    Only the bins that hold an event are listed.
+    """
     if not 0 < dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
     binned: dict[int, set[int]] = {}
@@ -229,11 +232,7 @@ def bin_event_list(
         if k == math.inf:
             raise DimensionError(f"bin index of timestamp {t} at dt={dt} is not finite")
         binned.setdefault(int(k), set()).add(neuron)
-    if not binned:
-        return OccurrenceLog(n, ())
-    last = max(binned)
-    bins = tuple((k, Pattern.of(binned.get(k, ()))) for k in range(last + 1))
-    return OccurrenceLog(n, bins)
+    return OccurrenceLog(n, tuple((k, Pattern.of(binned[k])) for k in sorted(binned)))
 
 
 def code_of_log(log: OccurrenceLog) -> Code:

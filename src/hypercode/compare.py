@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from hypercode.errors import UniverseError
 from hypercode.homology import betti
@@ -32,19 +32,7 @@ class ComparisonReport:
     def to_json_obj(self) -> dict:
         obj: dict = {
             "n": self.n,
-            "levels": [
-                {
-                    "level": lc.level,
-                    "size_a": lc.size_a,
-                    "size_b": lc.size_b,
-                    "shared": lc.shared,
-                    "jaccard": lc.jaccard,
-                    "map_status": lc.map_status,
-                    "betti_a": list(lc.betti_a),
-                    "betti_b": list(lc.betti_b),
-                }
-                for lc in self.levels
-            ],
+            "levels": [asdict(lc) for lc in self.levels],
         }
         if self.nerve_betti_a is not None:
             obj["nerve"] = {

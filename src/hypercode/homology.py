@@ -1,8 +1,11 @@
 """GF(2) simplicial homology, frequency filtrations and persistence barcodes.
 
-Betti numbers and barcodes both reduce the coboundary, bottom up, with
-clearing (``_graded_lows``); the rank/reduction inner loop is
-:mod:`hypercode._gf2`.
+Frequency filtration values are pushed down from a level's bonds, so they
+are face-monotone by construction; ``validate()`` checks the values passed
+to ``Filtration.from_values``.  Betti numbers and barcodes both reduce the
+coboundary, bottom up, with clearing (``_graded_lows``), and read infinite
+bars and Betti numbers off the same unpaired simplices (``_essential``);
+the rank/reduction inner loop is :mod:`hypercode._gf2`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from hypercode import _gf2
 from hypercode.codes import SimplicialComplex
 from hypercode.errors import ConfigError, DimCapError, FiltrationError, LevelRangeError
 from hypercode.hyperstructure import Hyperstructure
-from hypercode.topology import level_complex
 
 DEFAULT_DIM_CAP = 5
 
@@ -53,14 +55,18 @@ class BoundaryMatrix:
     columns: tuple[tuple[int, ...], ...]  # per column, sorted row indices
 
     def rank(self) -> int:
-        return _gf2.rank(list(self.columns), len(self.rows))
+        return _gf2.rank(list(self.columns))
 
 
 @dataclass(frozen=True)
 class Filtration:
-    """A face-monotone value per simplex, in a valid reduction order."""
+    """A face-monotone value per simplex, in a valid reduction order.
 
-    complex: SimplicialComplex
+    ``frequency_filtration`` pushes values down from the bonds; ``from_values``
+    runs ``validate()`` on a caller's values and reads ``complex`` only to
+    set ``truncated``.
+    """
+
     simplices: tuple[tuple[int, ...], ...]  # (value asc, dim asc, lex)
     values: tuple[float, ...]
     dim_cap: int
@@ -74,15 +80,7 @@ class Filtration:
         dim_cap: int | None = None,
     ) -> "Filtration":
         cap = resolve_dim_cap(dim_cap)
-        truncated = complex.dim > cap
-        order = sorted(values, key=lambda s: (values[s], len(s), s))
-        f = cls(
-            complex=complex,
-            simplices=tuple(order),
-            values=tuple(values[s] for s in order),
-            dim_cap=cap,
-            truncated=truncated,
-        )
+        f = _ordered(values, cap, complex.dim > cap)
         f.validate()
         return f
 
@@ -98,6 +96,11 @@ class Filtration:
                     raise FiltrationError(
                         f"face {face} (value {value_of[face]}) enters after {s} (value {v})"
                     )
+
+
+def _ordered(values: dict[tuple[int, ...], float], cap: int, truncated: bool) -> Filtration:
+    order = sorted(values, key=lambda s: (values[s], len(s), s))
+    return Filtration(tuple(order), tuple(values[s] for s in order), cap, truncated)
 
 
 @dataclass(frozen=True)
@@ -141,13 +144,24 @@ def _graded_lows(levels: Sequence[Sequence[tuple[int, ...]]]) -> list[list[int]]
             for f in combinations(t, d + 1):
                 cofaces[f].append(row)
         columns = (() if j in cleared else cofaces[level[j]] for j in range(last, -1, -1))
-        lows = _gf2.reduce_lows(columns, n_rows)
+        lows = _gf2.reduce_lows(columns)
         cleared = set()
         for k, low in enumerate(lows):
             if low >= 0:
                 pairs[d][last - k] = n_rows - 1 - low
                 cleared.add(n_rows - 1 - low)
     return pairs
+
+
+def _essential(pairs: list[list[int]]) -> list[list[int]]:
+    """Per dimension, the simplices neither paired one dimension up nor a
+    pivot from below: the infinite bars, as many as beta_d."""
+    essential: list[list[int]] = []
+    killed: set[int] = set()
+    for level in pairs:
+        essential.append([j for j, p in enumerate(level) if p < 0 and j not in killed])
+        killed = set(level)
+    return essential
 
 
 def boundary_matrix(
@@ -175,8 +189,9 @@ def betti(
 ) -> tuple[int, ...]:
     """Betti numbers over GF(2) up to max_dim (default: the complex dimension).
 
-    beta_d = #d-simplices - rank d_d - rank d_{d+1}, where rank d_{d+1} is
-    rank delta_d, the coboundary reduced bottom up with clearing.
+    beta_d counts the d-simplices of the lexicographic coboundary pairing
+    (bottom up, with clearing) that are neither paired one dimension up
+    nor a pivot from below, i.e. #d-simplices - rank d_d - rank d_{d+1}.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
@@ -188,12 +203,8 @@ def betti(
             f"complex dimension {k.dim} exceeds dim_cap {cap}; "
             f"homology above dimension {cap - 1} unavailable"
         )
-    faces = k.faces(min(max_dim + 1, cap))
-    counts = [len(level) for level in faces]
-    counts += [0] * (max_dim + 2 - len(counts))
-    ranks = [0] + [sum(1 for p in pairs if p >= 0) for pairs in _graded_lows(faces)]
-    ranks += [0] * (max_dim + 2 - len(ranks))
-    return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+    essential = _essential(_graded_lows(k.faces(min(max_dim + 1, cap))))
+    return tuple(([len(e) for e in essential] + [0] * max_dim)[: max_dim + 1])
 
 
 def euler_characteristic_ok(k: SimplicialComplex, dim_cap: int | None = None) -> bool:
@@ -215,15 +226,16 @@ def frequency_filtration(
 ) -> Filtration:
     """Filter the level-i complex by bond frequency: frequent patterns first.
 
-    A generating bond enters at c_max - count; each simplex at the min over
-    generating bonds containing it.  Isolated vertices bound by no level-i
-    bond enter at 0.  Bonds are visited most frequent first, so the first
-    value pushed down to a face is its minimum.
+    Built from the level-i bonds alone.  A bond enters at c_max - count and
+    pushes that value down to its faces up to the dim cap, most frequent
+    bond first, so each face gets the min over the bonds containing it and
+    never enters after a coface; no ``validate()`` is needed.  Level-(i-1)
+    bonds bound by no level-i bond enter at 0 as isolated vertices.
+    ``truncated`` means the widest bond has more than cap + 1 constituents.
     """
     if not 1 <= i <= h.k:
         raise LevelRangeError(f"level {i} out of range 1..{h.k}")
     cap = resolve_dim_cap(dim_cap)
-    k = level_complex(h, i)
     bonds = sorted(h.level(i), key=lambda b: -b.count)
     c_max = bonds[0].count
     values: dict[tuple[int, ...], float] = {}
@@ -232,10 +244,11 @@ def frequency_filtration(
         for size in range(1, min(len(b.constituents), cap + 1) + 1):
             for face in combinations(b.constituents, size):
                 values.setdefault(face, value)
-    for s in k.maximal_simplices:
-        if len(s) == 1:
-            values.setdefault(s, 0.0)
-    return Filtration.from_values(k, values, dim_cap=cap)
+    if i >= 2:
+        for b in h.level(i - 1):
+            values.setdefault((b.id,), 0.0)
+    truncated = max(len(b.constituents) for b in bonds) > cap + 1
+    return _ordered(values, cap, truncated)
 
 
 def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
@@ -261,14 +274,13 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     pairs = _graded_lows(levels)
     intervals: list[tuple[int, float, float]] = []
     for d, level_pairs in enumerate(pairs):
-        killed = set(pairs[d - 1]) if d else set()
         for j, p in enumerate(level_pairs):
             if p >= 0:
                 birth, death = values[d][j], values[d + 1][p]
                 if keep_zero or death > birth:
                     intervals.append((d, birth, death))
-            elif j not in killed:
-                intervals.append((d, values[d][j], math.inf))
+    for d, essential in enumerate(_essential(pairs)):
+        intervals.extend((d, values[d][j], math.inf) for j in essential)
     if f.truncated:
         intervals = [iv for iv in intervals if iv[0] < f.dim_cap]
     intervals.sort()

@@ -8,7 +8,7 @@ over the bins of an :class:`~hypercode.codes.OccurrenceLog`.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from hypercode.codes import OccurrenceLog, Pattern, _json_int, bitmask
@@ -52,13 +52,7 @@ class BuildConfig:
             raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "max_level": self.max_level,
-            "decomposition": self.decomposition,
-            "min_count": self.min_count,
-            "two_pass": self.two_pass,
-            "keep_union_words": self.keep_union_words,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BuildConfig":
@@ -299,20 +293,9 @@ def downset(h: Hyperstructure, level: int, bond_id: int, target: int) -> frozens
     """Iterated boundary down to ``target``; target 0 gives the neuron support."""
     if not 0 <= target < level:
         raise BondLookupError(f"target {target} must satisfy 0 <= target < {level}")
-    bond = h.bond(level, bond_id)
-    if level == 1:
-        return frozenset(bond.constituents)  # target is 0
-    current = frozenset(bond.constituents)
-    lvl = level - 1
-    while lvl > max(target, 1):
-        current = frozenset(
-            c for bid in current for c in h.bond(lvl, bid).constituents
-        )
-        lvl -= 1
-    if target == 0:
-        return frozenset(
-            c for bid in current for c in h.bond(1, bid).constituents
-        )
+    current = frozenset({bond_id})
+    for lvl in range(level, target, -1):
+        current = frozenset(c for bid in current for c in h.bond(lvl, bid).constituents)
     return current
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from hypercode.codes import Pattern
+from hypercode.codes import Pattern, _json_int
 from hypercode.errors import ConfigError, ParseError
 
 
@@ -29,7 +29,9 @@ class SynthSpec:
         for name, p in self.patterns.items():
             if p.members and p.members[-1] >= self.n:
                 raise ConfigError(f"pattern {name!r} exceeds n={self.n}")
-        for _, names in self.schedule:
+        for b, names in self.schedule:
+            if b < 0:
+                raise ConfigError(f"schedule bin must be >= 0, got {b}")
             for name in names:
                 if name not in self.patterns:
                     raise ConfigError(f"schedule references undefined pattern {name!r}")
@@ -38,15 +40,15 @@ class SynthSpec:
     def from_json_obj(cls, obj: dict) -> "SynthSpec":
         try:
             spec = cls(
-                n=int(obj["n"]),
+                n=_json_int(obj["n"], "n"),
                 patterns={
                     name: Pattern.of(members) for name, members in obj["patterns"].items()
                 },
                 schedule=tuple(
-                    (int(b), tuple(names)) for b, names in obj["schedule"]
+                    (_json_int(b, "schedule bin"), tuple(names)) for b, names in obj["schedule"]
                 ),
                 noise_rate=float(obj.get("noise_rate", 0.0)),
-                seed=int(obj.get("seed", 0)),
+                seed=_json_int(obj.get("seed", 0), "seed"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed synth spec JSON: {exc}") from exc

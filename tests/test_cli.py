@@ -317,3 +317,24 @@ def test_ingest_events_not_finite_is_one_error_line(runner, tmp_path, events, dt
     assert isinstance(r.exception, SystemExit)
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
     assert not out.exists()
+
+
+SYNTH_BAD = {
+    "n-float": {"n": 3.9, "patterns": {"a": [0, 1]}, "schedule": [[0, ["a"]]]},
+    "seed-float": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[0, ["a"]]], "seed": 2.5},
+    "bin-float": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[0.7, ["a"]]]},
+    "bin-negative": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[-1, ["a"]]]},
+    "bin-negative-late": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[2, ["a"]], [-1, ["a"]]]},
+}
+
+
+@pytest.mark.parametrize("obj", SYNTH_BAD.values(), ids=SYNTH_BAD.keys())
+def test_synth_spec_not_strict_is_one_error_line(runner, tmp_path, obj):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "m.csv"
+    r = runner.invoke(cli, ["synth", str(spec), "-o", str(out)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists()

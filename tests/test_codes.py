@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from hypercode.codes import (
     Codeword,
+    OccurrenceLog,
     Pattern,
     SimplicialComplex,
     bin_event_list,
@@ -17,6 +18,7 @@ from hypercode.codes import (
     support,
 )
 from hypercode.errors import ConfigError, DimensionError, ParseError
+from hypercode.hyperstructure import build_hyperstructure
 
 from conftest import TRIAD_CSV
 from oracles import maximal_naive
@@ -108,6 +110,21 @@ def test_bin_event_duplicate_collapse():
 
 def test_bin_event_empty():
     assert bin_event_list([], dt=1.0, n=3).bins == ()
+
+
+def test_bin_event_lists_only_occupied_bins():
+    log = bin_event_list([(0, 0.0), (1, 1e9)], dt=1.0, n=2)
+    assert [(i, p.members) for i, p in log.bins] == [(0, (0,)), (10**9, (1,))]
+
+
+def test_bin_event_gaps_render_as_empty_columns():
+    events = [(0, 0.2), (2, 1.1), (1, 4.7), (0, 4.9)]
+    sparse = bin_event_list(events, dt=1.0, n=3)
+    assert [i for i, _ in sparse.bins] == [0, 1, 4]
+    dense = OccurrenceLog(3, tuple((k, dict(sparse.bins).get(k, Pattern(()))) for k in range(5)))
+    assert render_matrix(3, sparse) == render_matrix(3, dense)
+    assert code_of_log(sparse) == code_of_log(dense)
+    assert build_hyperstructure(sparse) == build_hyperstructure(dense)
 
 
 def test_bin_event_bad_dt():

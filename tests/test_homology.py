@@ -202,6 +202,8 @@ def test_frequency_values_match_scan_oracle(bins, mode, cap):
             min(max(k.dim, 0), cap),
         )
         assert dict(zip(f.simplices, f.values)) == expected
+        f.validate()
+        assert f.truncated == (k.dim > cap)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypercode.codes import OccurrenceLog, Pattern, generated_complex
 from hypercode.errors import CompositionError, ConfigError, LevelRangeError
-from hypercode.hyperstructure import BuildConfig, build_hyperstructure, canonical_form
+from hypercode.hyperstructure import BuildConfig, build_hyperstructure, canonical_form, downset
 from hypercode.topology import (
     NerveConfig,
     compose_bonds,
@@ -236,3 +236,7 @@ def test_gluing_graph_invariants(bins):
             for (a, b), overlap in g.edges.items():
                 assert a < b
                 assert overlap
+            for b in hs.level(i):
+                # a bond's downset is the union of its constituents' downsets
+                parts = [{c} if j == i - 1 else downset(hs, i - 1, c, j) for c in b.constituents]
+                assert downset(hs, i, b.id, j) == frozenset().union(*parts)
