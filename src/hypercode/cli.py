@@ -174,15 +174,14 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
             f"--include-levels must be comma-separated integers, got {include_levels!r}"
         ) from None
     hs = _load_hs(hs_path)
-    cfg = NerveConfig(rule=rule, include_levels=levels, clique_budget=clique_budget)
-    k = nerve(hs, cfg)
+    dot_text = gluing_graph(hs, *dot_levels).to_dot() if dot else None
+    k = nerve(hs, NerveConfig(rule=rule, include_levels=levels, clique_budget=clique_budget))
     if output:
         _write_json(output, k.to_json_obj())
+    if dot:
+        Path(dot).write_text(dot_text)
     if print_betti or not output:
         click.echo(",".join(str(x) for x in homology.betti(k)))
-    if dot:
-        i, j = dot_levels
-        Path(dot).write_text(gluing_graph(hs, i, j).to_dot())
 
 
 @cli.command()

@@ -104,7 +104,7 @@ class Hyperstructure:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Hyperstructure":
-        """Load an artifact, checking ids, constituents, bins and counts."""
+        """Load an artifact, checking ids, nonempty constituents, bins and counts."""
         try:
             config = BuildConfig.from_json_obj(obj["config"])
             n = _json_int(obj["n"], "n")
@@ -119,6 +119,8 @@ class Hyperstructure:
                     if _json_int(b["id"], f"{where} id") != pos:
                         raise ParseError(f"{where}: id {b['id']} is not its position")
                     members = _increasing(b["constituents"], f"{where} constituents", universe)
+                    if not members:
+                        raise ParseError(f"{where}: no constituents")
                     bins = _increasing(b["bins"], f"{where} bins")
                     if _json_int(b["count"], f"{where} count") != len(bins):
                         raise ParseError(f"{where}: count {b['count']} != {len(bins)} bins")

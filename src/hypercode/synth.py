@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from hypercode.codes import Pattern, _json_int
 from hypercode.errors import ConfigError, ParseError
 
+MAX_CELLS = 10**7  # n x (largest bin + 1) bound on the dense grid synth_generate allocates
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -35,6 +37,11 @@ class SynthSpec:
             for name in names:
                 if name not in self.patterns:
                     raise ConfigError(f"schedule references undefined pattern {name!r}")
+        width = max((b for b, _ in self.schedule), default=-1) + 1
+        if self.n * width > MAX_CELLS:
+            raise ConfigError(
+                f"spec needs a {self.n} x {width} grid, more than {MAX_CELLS} cells"
+            )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SynthSpec":
@@ -42,7 +49,8 @@ class SynthSpec:
             spec = cls(
                 n=_json_int(obj["n"], "n"),
                 patterns={
-                    name: Pattern.of(members) for name, members in obj["patterns"].items()
+                    name: Pattern.of(_json_int(i, f"pattern {name!r} member") for i in members)
+                    for name, members in obj["patterns"].items()
                 },
                 schedule=tuple(
                     (_json_int(b, "schedule bin"), tuple(names)) for b, names in obj["schedule"]

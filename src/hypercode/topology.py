@@ -209,35 +209,32 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
     """The nerve of the hyperstructure: composable bond chains as simplices.
 
     Vertices are all bonds of the included levels, labelled (level, id).
-    Per stratum (i, j): under the pairwise rule every clique of the gluing
-    graph spans a simplex (the flag complex); under the connected rule every
-    vertex set inducing a connected gluing subgraph spans one, so the
-    maximal simplices are the connected components.
+    Each stratum (i, j), j < i, adds the cliques (pairwise rule) or the
+    connected vertex sets (connected rule) of the gluing graph G(i, j).
+    G(i, 0) alone suffices: bonds sharing a level-(j+1) descendant share its
+    neuron support, nonempty as every bond has a constituent (builds and the
+    loader ensure it), so G(i, j) is a subgraph of G(i, 0) on the same
+    vertices.  The maximal cliques or components of G(i, 0) are pairwise
+    incomparable and cover every vertex, and levels share no vertex, so
+    they are the maximal simplices as they stand.
     """
     cfg = cfg or NerveConfig()
     cfg.validate()
-    levels = sorted(
-        i for i in range(1, h.k + 1)
-        if cfg.include_levels is None or i in cfg.include_levels
-    )
     labels: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-    for i in levels:
-        for b in h.level(i):
-            index[(i, b.id)] = len(labels)
-            labels.append((i, b.id))
-    candidates: set[tuple[int, ...]] = {(v,) for v in range(len(labels))}
-    for i in levels:
-        for j in range(i):
-            graph = gluing_graph(h, i, j)
-            adjacency = {v: set() for v in graph.vertices}
-            for a, b in graph.edges:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-            if cfg.rule == "pairwise":
-                groups = max_cliques(graph.vertices, adjacency, cfg.clique_budget)
-            else:
-                groups = _connected_components(graph.vertices, adjacency)
-            for group in groups:
-                candidates.add(tuple(sorted(index[(i, v)] for v in group)))
-    return SimplicialComplex(tuple(labels), frozenset(maximal_sets(candidates)))
+    maximal: set[tuple[int, ...]] = set()
+    for i in range(1, h.k + 1):
+        if cfg.include_levels is not None and i not in cfg.include_levels:
+            continue
+        graph = gluing_graph(h, i, 0)
+        adjacency = {v: set() for v in graph.vertices}
+        for a, b in graph.edges:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        if cfg.rule == "pairwise":
+            groups = max_cliques(graph.vertices, adjacency, cfg.clique_budget)
+        else:
+            groups = _connected_components(graph.vertices, adjacency)
+        offset = len(labels)  # bond ids are positions within their level
+        maximal.update(tuple(sorted(offset + v for v in group)) for group in groups)
+        labels.extend((i, v) for v in graph.vertices)
+    return SimplicialComplex(tuple(labels), frozenset(maximal))

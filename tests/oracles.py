@@ -207,3 +207,48 @@ def rebuild_pass_naive(bins, max_level=3, mode="exact-cover"):
                     entry[2].append(t)
             realized = nxt
     return [[(tuple(e[0]), e[1]) for e in lvl] for lvl in levels]
+
+
+def nerve_naive(levels, rule="pairwise", include_levels=None):
+    """(labels, maximal simplices) of the nerve, built stratum by stratum.
+
+    ``levels`` lists each level's bond constituents (neurons at level 1,
+    bond ids one level down above).  Every stratum (i, j) with j < i joins
+    two level-i bonds when their level-j downsets meet; its maximal cliques
+    ("pairwise") or components ("connected") are unioned over all strata
+    with every vertex as a singleton, then filtered by ``maximal_naive``.
+    """
+
+    def down(i, bond, j):
+        current = {bond}
+        for lvl in range(i, j, -1):
+            current = {c for b in current for c in levels[lvl - 1][b]}
+        return current
+
+    labels, family = [], []
+    for i in range(1, len(levels) + 1):
+        if include_levels is not None and i not in include_levels:
+            continue
+        offset = len(labels)
+        vertices = range(len(levels[i - 1]))
+        labels += [(i, v) for v in vertices]
+        family += [(offset + v,) for v in vertices]
+        for j in range(i):
+            downs = [down(i, v, j) for v in vertices]
+            adj = {v: {u for u in vertices if u != v and downs[u] & downs[v]} for v in vertices}
+            if rule == "pairwise":
+                cliques = [{v} for v in vertices]
+                for clique in cliques:  # grows while iterated: every clique once
+                    for w in vertices:
+                        if w > max(clique) and clique <= adj[w]:
+                            cliques.append(clique | {w})
+                groups = [c for c in cliques if not any(c <= adj[w] for w in vertices)]
+            else:
+                groups = []
+                for v in vertices:
+                    comp = {v}
+                    while any(adj[u] - comp for u in comp):
+                        comp |= {w for u in comp for w in adj[u]}
+                    groups.append(comp)
+            family += [tuple(sorted(offset + v for v in g)) for g in groups]
+    return labels, maximal_naive(family)

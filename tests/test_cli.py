@@ -151,6 +151,8 @@ ARTIFACT_MUTATIONS = {
     "constituent-negative": _set(["levels", 0, 0, "constituents"], [-1, 1]),
     "constituents-unsorted": _set(["levels", 0, 0, "constituents"], [1, 0, 2]),
     "constituents-not-a-list": _set(["levels", 0, 0, "constituents"], 3),
+    "constituents-empty": _set(["levels", 0, 0, "constituents"], []),
+    "level2-constituents-empty": _set(["levels", 1, 0, "constituents"], []),
     "level2-dangling-id": _set(["levels", 1, 0, "constituents"], [0, 3]),
     "level2-unsorted": _set(["levels", 1, 0, "constituents"], [1, 0]),
     "bins-unsorted": _set(["levels", 0, 0, "bins"], [5, 1, 3]),
@@ -182,6 +184,17 @@ def test_nerve_dot_without_levels_fails_before_work(runner, tmp_path):
     assert r.exit_code == 1
     assert "--dot-levels" in r.stderr
     assert not out.exists()
+
+
+def test_nerve_dot_levels_out_of_range_fails_before_writing(runner, tmp_path):
+    _, hs = _pipeline(runner, tmp_path)
+    out, dot = tmp_path / "nerve.json", tmp_path / "g.dot"
+    r = runner.invoke(
+        cli, ["nerve", str(hs), "-o", str(out), "--dot", str(dot), "--dot-levels", "5", "0"]
+    )
+    assert r.exit_code == 1
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists() and not dot.exists()
 
 
 def test_nerve_include_levels_not_integers(runner, tmp_path):
@@ -325,6 +338,9 @@ SYNTH_BAD = {
     "bin-float": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[0.7, ["a"]]]},
     "bin-negative": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[-1, ["a"]]]},
     "bin-negative-late": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[2, ["a"]], [-1, ["a"]]]},
+    "member-float": {"n": 3, "patterns": {"a": [0.5, 1]}, "schedule": [[0, ["a"]]]},
+    "member-string": {"n": 3, "patterns": {"a": ["0", 1]}, "schedule": [[0, ["a"]]]},
+    "grid-too-large": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[10**12, ["a"]]]},
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from hypercode.codes import Pattern, parse_spike_matrix
 from hypercode.errors import ConfigError
-from hypercode.synth import SynthSpec, matrix_to_csv, synth_generate
+from hypercode.synth import MAX_CELLS, SynthSpec, matrix_to_csv, synth_generate
 
 from conftest import TRIAD_CSV
 
@@ -56,6 +56,13 @@ def test_undefined_pattern_rejected():
 def test_bad_noise_rate():
     with pytest.raises(ConfigError):
         SynthSpec(n=1, patterns={}, schedule=(), noise_rate=1.5).validate()
+
+
+def test_grid_bound_checked_before_allocating():
+    bin_ = MAX_CELLS // 10 - 1  # a 10 x (bin + 1) grid fits exactly
+    SynthSpec(n=10, patterns={}, schedule=((bin_, ()),)).validate()
+    with pytest.raises(ConfigError):
+        synth_generate(SynthSpec(n=10, patterns={}, schedule=((bin_ + 1, ()),)))
 
 
 def test_json_roundtrip():

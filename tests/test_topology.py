@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercode.codes import OccurrenceLog, Pattern, generated_complex
 from hypercode.errors import CompositionError, ConfigError, LevelRangeError
@@ -18,7 +18,7 @@ from hypercode.topology import (
     nerve,
 )
 
-from oracles import betti_naive
+from oracles import betti_naive, nerve_naive
 
 
 def _log(bins, n):
@@ -30,6 +30,12 @@ def _form_id(hs, level, form):
         if canonical_form(hs, level, b.id) == form:
             return b.id
     raise AssertionError(form)
+
+
+# two level-2 bonds that share neurons but no level-1 bond
+_NEURON_GLUED = [{0, 1}, {2, 3}, {1, 2}, {4}, {0, 1, 2, 3}, {1, 2, 4}]
+_CHAIN = [{0}, {1, 2}, {3}, {4, 5}]
+_CHAIN_BINS = _CHAIN + [set().union(*_CHAIN[a:b]) for a, b in [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4), (0, 4)]]
 
 
 class TestLevelComplex:
@@ -217,6 +223,14 @@ class TestNerve:
         with pytest.raises(CliqueBudgetError):
             nerve(hs, NerveConfig(clique_budget=1))
 
+    def test_clique_budget_counts_only_level_graph(self):
+        # G(2, 1) has no edge, so two maximal cliques; G(2, 0) is one edge
+        bins = _NEURON_GLUED
+        hs = build_hyperstructure(_log(bins, 5))
+        k = nerve(hs, NerveConfig(include_levels=frozenset({2}), clique_budget=1))
+        assert k.vertex_labels == ((2, 0), (2, 1))
+        assert k.maximal_simplices == frozenset({(0, 1)})
+
 
 def _random_faces(simplex, rng, count=5):
     out = []
@@ -240,3 +254,35 @@ def test_gluing_graph_invariants(bins):
                 # a bond's downset is the union of its constituents' downsets
                 parts = [{c} if j == i - 1 else downset(hs, i - 1, c, j) for c in b.constituents]
                 assert downset(hs, i, b.id, j) == frozenset().union(*parts)
+
+
+@st.composite
+def _assemblies(draw):
+    """A few patterns shown alone, then unions of them, smaller unions first."""
+    patterns = draw(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=3), min_size=2, max_size=5))
+    unions = draw(st.lists(st.sets(st.sampled_from(range(len(patterns))), min_size=2), max_size=8))
+    return patterns + [set().union(*(patterns[p] for p in u)) for u in sorted(unions, key=len)]
+
+
+@given(
+    _assemblies(),
+    st.sampled_from(["pairwise", "connected"]),
+    st.sampled_from(["exact-cover", "subset-realization"]),
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.none() | st.frozensets(st.integers(1, 4)),
+)
+# the chain reaches level 4 (4, 6, 3 and 1 bonds) in both modes
+@example(_CHAIN_BINS, "pairwise", "exact-cover", 1, 4, None)
+@example(_CHAIN_BINS, "connected", "subset-realization", 1, 4, frozenset({1, 3}))
+@example(_CHAIN_BINS * 2, "pairwise", "subset-realization", 2, 4, frozenset({2, 4}))
+@example(_NEURON_GLUED, "pairwise", "exact-cover", 1, 2, None)
+@settings(max_examples=200, deadline=None)
+def test_nerve_matches_all_strata_oracle(bins, rule, mode, min_count, max_level, include):
+    cfg = BuildConfig(max_level=max_level, decomposition=mode, min_count=min_count)
+    hs = build_hyperstructure(_log(bins, 6), cfg)
+    k = nerve(hs, NerveConfig(rule=rule, include_levels=include))
+    levels = [[b.constituents for b in bonds] for bonds in hs.levels]
+    labels, maximal = nerve_naive(levels, rule, include)
+    assert list(k.vertex_labels) == labels
+    assert k.maximal_simplices == maximal
