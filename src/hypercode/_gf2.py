@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypercode.codes import bitmask
+
 GF2_BACKEND = "python"
 
 
@@ -27,10 +29,10 @@ def reduce_lows(columns):
         low = max(column, default=-1)
         pivot = pivots.get(low)
         if pivot is not None:
-            column = _bits(column)
+            column = bitmask(column)
             while pivot is not None:
                 if type(pivot) is tuple:
-                    pivot = pivots[low] = _bits(pivot)
+                    pivot = pivots[low] = bitmask(pivot)
                 column ^= pivot
                 low = column.bit_length() - 1
                 pivot = pivots.get(low)
@@ -38,13 +40,6 @@ def reduce_lows(columns):
             pivots[low] = column
         lows.append(low)
     return lows
-
-
-def _bits(rows):
-    bits = 0
-    for r in rows:
-        bits |= 1 << r
-    return bits
 
 
 def rank(columns):

@@ -56,6 +56,18 @@ def _load_hs(path: str) -> Hyperstructure:
     return Hyperstructure.from_json_obj(_read_json(path))
 
 
+def _echo_betti(k, max_dim=None, dim_cap=None) -> None:
+    """Print Betti numbers; when they stop below the complex dimension unasked, say so on stderr."""
+    b = homology.betti(k, max_dim=max_dim, dim_cap=dim_cap)
+    if max_dim is None and len(b) <= k.dim:
+        click.echo(
+            f"note: complex dimension {k.dim} exceeds dim_cap {homology.resolve_dim_cap(dim_cap)}; "
+            f"printing beta_0..beta_{len(b) - 1}",
+            err=True,
+        )
+    click.echo(",".join(str(x) for x in b))
+
+
 def _print_version(ctx, param, value):
     if not value or ctx.resilient_parsing:
         return
@@ -139,7 +151,7 @@ def build(log_path, max_level, decomposition, min_count, two_pass, keep_union_wo
 @cli.command()
 @click.argument("hs_path", type=click.Path(exists=True))
 @click.option("--level", type=int, required=True)
-@click.option("--max-dim", type=int, default=None, help="Highest homology dimension (default: complex dimension).")
+@click.option("--max-dim", type=int, default=None, help="Highest homology dimension (default: complex dimension; cap - 1 above the dim cap).")
 @click.option("--dim-cap", type=int, default=None)
 @_domain_errors
 def betti(hs_path, level, max_dim, dim_cap):
@@ -147,8 +159,7 @@ def betti(hs_path, level, max_dim, dim_cap):
     hs = _load_hs(hs_path)
     from hypercode.topology import level_complex
 
-    b = homology.betti(level_complex(hs, level), max_dim=max_dim, dim_cap=dim_cap)
-    click.echo(",".join(str(x) for x in b))
+    _echo_betti(level_complex(hs, level), max_dim=max_dim, dim_cap=dim_cap)
 
 
 @cli.command("nerve")
@@ -181,7 +192,7 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
     if dot:
         Path(dot).write_text(dot_text)
     if print_betti or not output:
-        click.echo(",".join(str(x) for x in homology.betti(k)))
+        _echo_betti(k)
 
 
 @cli.command()

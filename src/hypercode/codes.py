@@ -210,7 +210,12 @@ def render_matrix(n: int, log: OccurrenceLog) -> str:
     for idx, active in log.bins:
         for i in active:
             grid[i][idx] = 1
-    return "\n".join(",".join(str(c) for c in row) for row in grid) + ("\n" if n else "")
+    return matrix_to_csv(grid)
+
+
+def matrix_to_csv(grid: list[list[int]]) -> str:
+    """A 0/1 spike matrix, one row per neuron, as the CSV :func:`parse_spike_matrix` reads."""
+    return "\n".join(",".join(str(c) for c in row) for row in grid) + ("\n" if grid else "")
 
 
 def bin_event_list(
@@ -247,6 +252,14 @@ def bitmask(ids: Iterable[int]) -> int:
     for i in ids:
         mask |= 1 << i
     return mask
+
+
+def members(mask: int) -> Iterator[int]:
+    """Inverse of :func:`bitmask`: the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from hypercode.codes import SimplicialComplex
 from hypercode.errors import UniverseError
-from hypercode.homology import betti
+from hypercode.homology import betti, resolve_dim_cap
 from hypercode.hyperstructure import Hyperstructure, canonical_form
 from hypercode.topology import NerveConfig, level_complex, nerve
 
@@ -28,6 +29,7 @@ class ComparisonReport:
     levels: tuple[LevelComparison, ...]
     nerve_betti_a: tuple[int, ...] | None = None
     nerve_betti_b: tuple[int, ...] | None = None
+    dim_cap: int | None = None  # set iff some Betti vector was cut below its complex dimension
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -39,6 +41,8 @@ class ComparisonReport:
                 "betti_a": list(self.nerve_betti_a),
                 "betti_b": list(self.nerve_betti_b or ()),
             }
+        if self.dim_cap is not None:
+            obj["dim_cap"] = self.dim_cap
         return obj
 
     def to_table(self) -> str:
@@ -67,6 +71,11 @@ class ComparisonReport:
                     ",".join(map(str, self.nerve_betti_b or ())),
                 )
             )
+        if self.dim_cap is not None:
+            lines.append(
+                f"betti cut at dim_cap {self.dim_cap}: complexes above it list "
+                f"beta_0..beta_{self.dim_cap - 1}"
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -80,6 +89,12 @@ def _map_status(size_a: int, size_b: int, shared: int) -> str:
     return "neither"
 
 
+def _betti(k: SimplicialComplex, cut: list[bool]) -> tuple[int, ...]:
+    b = betti(k)
+    cut.append(len(b) <= k.dim)
+    return b
+
+
 def compare_levels(
     a: Hyperstructure, b: Hyperstructure, with_nerve: bool = False
 ) -> ComparisonReport:
@@ -87,11 +102,14 @@ def compare_levels(
 
     Levels present in only one structure are reported with the other side
     empty.  Canonical forms are unique within a level, so the matching is
-    a partial bijection by construction.
+    a partial bijection by construction.  Betti vectors stop below the
+    dim cap (see ``homology.betti``), and ``dim_cap`` names the cap when
+    one did.
     """
     if a.n != b.n:
         raise UniverseError(f"neuron universes differ: {a.n} != {b.n}")
     levels = []
+    cut: list[bool] = []
     for i in range(1, max(a.k, b.k) + 1):
         forms_a = (
             {canonical_form(a, i, bond.id) for bond in a.level(i)} if i <= a.k else set()
@@ -102,8 +120,8 @@ def compare_levels(
         shared = len(forms_a & forms_b)
         denom = len(forms_a) + len(forms_b) - shared
         jaccard = shared / denom if denom else 1.0
-        betti_a = tuple(betti(level_complex(a, i))) if i <= a.k else ()
-        betti_b = tuple(betti(level_complex(b, i))) if i <= b.k else ()
+        betti_a = _betti(level_complex(a, i), cut) if i <= a.k else ()
+        betti_b = _betti(level_complex(b, i), cut) if i <= b.k else ()
         levels.append(
             LevelComparison(
                 level=i,
@@ -118,8 +136,12 @@ def compare_levels(
         )
     nerve_a = nerve_b = None
     if with_nerve:
-        nerve_a = tuple(betti(nerve(a, NerveConfig())))
-        nerve_b = tuple(betti(nerve(b, NerveConfig())))
+        nerve_a = _betti(nerve(a, NerveConfig()), cut)
+        nerve_b = _betti(nerve(b, NerveConfig()), cut)
     return ComparisonReport(
-        n=a.n, levels=tuple(levels), nerve_betti_a=nerve_a, nerve_betti_b=nerve_b
+        n=a.n,
+        levels=tuple(levels),
+        nerve_betti_a=nerve_a,
+        nerve_betti_b=nerve_b,
+        dim_cap=resolve_dim_cap() if any(cut) else None,
     )

@@ -187,7 +187,14 @@ def boundary_matrix(
 def betti(
     k: SimplicialComplex, max_dim: int | None = None, dim_cap: int | None = None
 ) -> tuple[int, ...]:
-    """Betti numbers over GF(2) up to max_dim (default: the complex dimension).
+    """Betti numbers over GF(2) up to max_dim.
+
+    The default max_dim is the complex dimension, or cap - 1 when the
+    complex exceeds the dim cap: faces are enumerated up to the cap only,
+    so that is the highest dimension whose Betti number they determine;
+    callers tell such a cut vector by its length, at most dim.  An
+    explicit max_dim at or above the cap of such a complex raises
+    ``DimCapError``.
 
     beta_d counts the d-simplices of the lexicographic coboundary pairing
     (bottom up, with clearing) that are neither paired one dimension up
@@ -195,7 +202,7 @@ def betti(
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
-        max_dim = max(k.dim, 0)
+        max_dim = max(k.dim, 0) if k.dim <= cap else cap - 1
     if max_dim < 0:
         raise ConfigError(f"max_dim must be non-negative, got {max_dim}")
     if k.dim > cap and max_dim >= cap:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from hypercode.codes import Pattern, _json_int
+from hypercode.codes import Pattern, _json_int, matrix_to_csv  # noqa: F401 (re-exported)
 from hypercode.errors import ConfigError, ParseError
 
 MAX_CELLS = 10**7  # n x (largest bin + 1) bound on the dense grid synth_generate allocates
@@ -85,7 +85,3 @@ def synth_generate(spec: SynthSpec) -> list[list[int]]:
                 if rng.random() < spec.noise_rate:
                     grid[i][j] ^= 1
     return grid
-
-
-def matrix_to_csv(grid: list[list[int]]) -> str:
-    return "\n".join(",".join(str(c) for c in row) for row in grid) + ("\n" if grid else "")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from hypercode.codes import Pattern, SimplicialComplex, generated_complex, maximal_sets
+from hypercode.codes import Pattern, SimplicialComplex, generated_complex, maximal_sets, members
 from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError, LevelRangeError
 from hypercode.hyperstructure import Hyperstructure, boundary, downset
 
@@ -32,17 +32,12 @@ class GluingGraph:
 
     level_i: int
     level_j: int
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...]  # bond ids, which are positions within their level
     edges: dict[tuple[int, int], frozenset[int]]  # (a, b) with a < b -> overlap
+    adjacency: tuple[int, ...]  # per vertex, the bitmask of its neighbours
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return set(members(self.adjacency[v]))
 
     def to_dot(self) -> str:
         lines = [f'graph gluing_{self.level_i}_{self.level_j} {{']
@@ -123,16 +118,17 @@ def gluing_graph(h: Hyperstructure, i: int, j: int) -> GluingGraph:
     _check_level(h, i)
     if not 0 <= j < i:
         raise LevelRangeError(f"gluing level {j} must satisfy 0 <= j < {i}")
-    bonds = h.level(i)
-    downsets = {b.id: downset(h, i, b.id, j) for b in bonds}
+    downsets = [downset(h, i, b.id, j) for b in h.level(i)]
     edges: dict[tuple[int, int], frozenset[int]] = {}
-    ids = [b.id for b in bonds]
-    for a_pos, a in enumerate(ids):
-        for b in ids[a_pos + 1 :]:
-            overlap = downsets[a] & downsets[b]
+    adjacency = [0] * len(downsets)
+    for a, down_a in enumerate(downsets):
+        for b in range(a + 1, len(downsets)):
+            overlap = down_a & downsets[b]
             if overlap:
                 edges[(a, b)] = overlap
-    return GluingGraph(i, j, tuple(ids), edges)
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+    return GluingGraph(i, j, tuple(range(len(downsets))), edges, tuple(adjacency))
 
 
 def compose_bonds(
@@ -142,67 +138,63 @@ def compose_bonds(
     if not ids:
         raise CompositionError("empty composition")
     graph = gluing_graph(h, i, j)
+    downsets = [downset(h, i, bid, j) for bid in ids]  # raises on an unknown id
     overlaps: list[tuple[int, ...]] = []
-    for a, b in zip(ids, ids[1:]):
-        key = (min(a, b), max(a, b))
-        if a == b or key not in graph.edges:
+    for a, b, down_a, down_b in zip(ids, ids[1:], downsets, downsets[1:]):
+        if not graph.adjacency[a] >> b & 1:
             raise CompositionError(
                 f"bonds {a} and {b} at level {i} are not gluable at level {j}"
             )
-        overlaps.append(tuple(sorted(graph.edges[key])))
-    union: set[int] = set()
-    for bid in ids:
-        union |= downset(h, i, bid, j)
+        overlaps.append(tuple(sorted(down_a & down_b)))
     return CompositeDescriptor(
         level_i=i,
         level_j=j,
         bond_ids=tuple(ids),
-        union=tuple(sorted(union)),
+        union=tuple(sorted(frozenset().union(*downsets))),
         overlaps=tuple(overlaps),
     )
 
 
-def max_cliques(
-    vertices: Sequence[int], adjacency: dict[int, set[int]], budget: int
-) -> Iterator[frozenset[int]]:
-    """Bron-Kerbosch with pivoting; raises past the clique budget."""
+def max_cliques(adjacency: Sequence[int], budget: int) -> Iterator[int]:
+    """Maximal cliques, as bitmasks, of the graph with neighbour masks ``adjacency``.
+
+    Bron-Kerbosch with pivoting on an explicit stack of (clique,
+    candidates, excluded) masks; raises past the clique budget.
+    """
     emitted = 0
-
-    def bk(r: set[int], p: set[int], x: set[int]) -> Iterator[frozenset[int]]:
-        nonlocal emitted
-        if not p and not x:
-            emitted += 1
-            if emitted > budget:
-                raise CliqueBudgetError(f"clique enumeration exceeded budget {budget}")
-            yield frozenset(r)
-            return
-        pivot = max(p | x, key=lambda v: len(adjacency[v] & p))
-        for v in sorted(p - adjacency[pivot]):
-            yield from bk(r | {v}, p & adjacency[v], x & adjacency[v])
-            p.remove(v)
-            x.add(v)
-
-    yield from bk(set(), set(vertices), set())
-
-
-def _connected_components(
-    vertices: Sequence[int], adjacency: dict[int, set[int]]
-) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    components = []
-    for v in vertices:
-        if v in seen:
+    stack = [(0, (1 << len(adjacency)) - 1, 0)]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                emitted += 1
+                if emitted > budget:
+                    raise CliqueBudgetError(f"clique enumeration exceeded budget {budget}")
+                yield clique
             continue
-        stack, comp = [v], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(adjacency[u] - comp)
-        seen |= comp
-        components.append(frozenset(comp))
-    return components
+        pivot = max(
+            members(candidates | excluded),
+            key=lambda u: (adjacency[u] & candidates).bit_count(),
+        )
+        for v in members(candidates & ~adjacency[pivot]):
+            stack.append((clique | 1 << v, candidates & adjacency[v], excluded & adjacency[v]))
+            candidates ^= 1 << v
+            excluded |= 1 << v
+
+
+def _components(adjacency: Sequence[int]) -> Iterator[int]:
+    """Connected components, as bitmasks, by flood fill on neighbour masks."""
+    unseen = (1 << len(adjacency)) - 1
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            reached = 0
+            for v in members(frontier):
+                reached |= adjacency[v]
+            frontier = reached & ~component
+            component |= frontier
+        unseen &= ~component
+        yield component
 
 
 def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComplex:
@@ -226,15 +218,11 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
         if cfg.include_levels is not None and i not in cfg.include_levels:
             continue
         graph = gluing_graph(h, i, 0)
-        adjacency = {v: set() for v in graph.vertices}
-        for a, b in graph.edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
         if cfg.rule == "pairwise":
-            groups = max_cliques(graph.vertices, adjacency, cfg.clique_budget)
+            groups = max_cliques(graph.adjacency, cfg.clique_budget)
         else:
-            groups = _connected_components(graph.vertices, adjacency)
+            groups = _components(graph.adjacency)
         offset = len(labels)  # bond ids are positions within their level
-        maximal.update(tuple(sorted(offset + v for v in group)) for group in groups)
+        maximal.update(tuple(offset + v for v in members(group)) for group in groups)
         labels.extend((i, v) for v in graph.vertices)
     return SimplicialComplex(tuple(labels), frozenset(maximal))

@@ -116,6 +116,17 @@ def maximal_naive(family) -> set[tuple[int, ...]]:
     return {s for s in present if s and not any(set(s) < set(t) for t in present)}
 
 
+def maximal_cliques_naive(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, ...]]:
+    """Maximal cliques of the graph on 0..n-1 with edges (a, b), a < b: every vertex subset tried."""
+    cliques = [
+        s
+        for size in range(1, n + 1)
+        for s in combinations(range(n), size)
+        if all(pair in edges for pair in combinations(s, 2))
+    ]
+    return maximal_naive(cliques)
+
+
 def subcomplex_at(
     simplices: list[tuple[int, ...]], values: dict[tuple[int, ...], float], theta: float
 ) -> list[tuple[int, ...]]:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from hypercode.cli import cli
 
-from conftest import TRIAD_CSV
+from conftest import TRIAD_CSV, matrix_csv
 
 
 @pytest.fixture
@@ -254,8 +254,60 @@ def test_end_to_end_determinism(runner, tmp_path):
 def test_dim_cap_env_override(runner, tmp_path, monkeypatch):
     _, hs = _pipeline(runner, tmp_path)
     monkeypatch.setenv("HYPERCODE_DIM_CAP", "1")
+    # the level-1 complex has 2-simplices beyond the cap: beta_0 only
     r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
-    assert r.exit_code == 1  # level-1 complex has 2-simplices beyond the cap
+    assert r.exit_code == 0
+    assert r.stdout == "3\n"
+    assert "dim_cap 1" in r.stderr
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--max-dim", "1"])
+    assert r.exit_code == 1
+
+
+# a 7-neuron bin, then six pairs that each share neuron 0 with it: the
+# level-1 complex is a 6-simplex and so is the nerve, both above the cap of 5
+WIDE_CSV = matrix_csv(7, [set(range(7))] + [{0, j} for j in range(1, 7)])
+
+
+def test_betti_above_cap_stops_below_it(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+    _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
+    assert r.exit_code == 0, r.output
+    assert r.stdout == "1,0,0,0,0\n"
+    assert r.stderr.count("\n") == 1 and "dimension 6 exceeds dim_cap 5" in r.stderr
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--max-dim", "3"])
+    assert (r.exit_code, r.stdout, r.stderr) == (0, "1,0,0,0\n", "")
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--max-dim", "5"])
+    assert r.exit_code == 1
+
+
+def test_nerve_betti_above_cap_stops_below_it(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+    _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
+    out = tmp_path / "nerve.json"
+    r = runner.invoke(cli, ["nerve", str(hs), "--betti", "-o", str(out)])
+    assert r.exit_code == 0, r.output
+    assert r.stdout == "1,0,0,0,0\n"
+    assert r.stderr.count("\n") == 1 and "dimension 6 exceeds dim_cap 5" in r.stderr
+    assert json.loads(out.read_text())["maximal"] == [list(range(7))]
+
+
+def test_compare_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+    _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
+    r = runner.invoke(cli, ["compare", str(hs), str(hs), "--with-nerve"])
+    assert r.exit_code == 0, r.output
+    report = json.loads(r.stdout)
+    assert report["levels"][0]["betti_a"] == [1, 0, 0, 0, 0]
+    assert report["nerve"]["betti_a"] == [1, 0, 0, 0, 0]
+    assert report["dim_cap"] == 5
+    r = runner.invoke(cli, ["compare", str(hs), str(hs), "--format", "table"])
+    assert r.stdout.splitlines()[-1].startswith("betti cut at dim_cap 5")
+    (tmp_path / "triad").mkdir()
+    _, triad = _pipeline(runner, tmp_path / "triad")
+    for fmt in ("json", "table"):
+        r = runner.invoke(cli, ["compare", str(triad), str(triad), "--format", fmt])
+        assert "dim_cap" not in r.stdout
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

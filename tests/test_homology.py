@@ -88,6 +88,11 @@ class TestBetti:
         with pytest.raises(DimCapError):
             betti(big, max_dim=6, dim_cap=5)
 
+    def test_default_max_dim_stops_below_cap(self):
+        assert betti(_complex([tuple(range(8))], 8), dim_cap=5) == (1, 0, 0, 0, 0)
+        # a complex of dimension cap is not cut
+        assert betti(_complex([tuple(range(6))], 6), dim_cap=5) == (1, 0, 0, 0, 0, 0)
+
     def test_empty_complex(self):
         k = SimplicialComplex((), frozenset())
         assert betti(k, 0) == (0,)

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypercode.codes import OccurrenceLog, Pattern, generated_complex
-from hypercode.errors import CompositionError, ConfigError, LevelRangeError
-from hypercode.hyperstructure import BuildConfig, build_hyperstructure, canonical_form, downset
+from hypercode.codes import OccurrenceLog, Pattern, bitmask, generated_complex, members
+from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError, LevelRangeError
+from hypercode.hyperstructure import (
+    Bond,
+    BuildConfig,
+    Hyperstructure,
+    build_hyperstructure,
+    canonical_form,
+    downset,
+)
 from hypercode.topology import (
+    NERVE_RULES,
     NerveConfig,
     compose_bonds,
     delta_correspondence,
@@ -18,7 +27,7 @@ from hypercode.topology import (
     nerve,
 )
 
-from oracles import betti_naive, nerve_naive
+from oracles import betti_naive, maximal_cliques_naive, nerve_naive
 
 
 def _log(bins, n):
@@ -193,10 +202,9 @@ class TestNerve:
                 for y in range(x + 1, len(labels)):
                     pair = (min(labels[x], labels[y]), max(labels[x], labels[y]))
                     assert pair in edges
-        adjacency = {v: g.neighbors(v) for v in g.vertices}
         budget = 10**6
-        for clique in max_cliques(g.vertices, adjacency, budget):
-            s = tuple(sorted(clique))
+        for clique in max_cliques(g.adjacency, budget):
+            s = tuple(members(clique))
             assert any(set(s) <= {k.vertex_labels[v][1] for v in m}
                        for m in k.maximal_simplices
                        if all(k.vertex_labels[v][0] == 1 for v in m))
@@ -216,8 +224,6 @@ class TestNerve:
             nerve(triad, NerveConfig(rule="chain"))
 
     def test_clique_budget(self):
-        from hypercode.errors import CliqueBudgetError
-
         bins = [{0, 1}, {2, 3}]
         hs = build_hyperstructure(_log(bins, 4))
         with pytest.raises(CliqueBudgetError):
@@ -230,6 +236,15 @@ class TestNerve:
         k = nerve(hs, NerveConfig(include_levels=frozenset({2}), clique_budget=1))
         assert k.vertex_labels == ((2, 0), (2, 1))
         assert k.maximal_simplices == frozenset({(0, 1)})
+
+    @pytest.mark.parametrize("rule", NERVE_RULES)
+    def test_clique_deeper_than_recursion_limit(self, rule):
+        # 1,100 level-1 bonds that all share neuron 0: G(1, 0) is complete
+        n = 1100
+        bonds = tuple(Bond(b, 1, (0, b + 1), 1, (b,)) for b in range(n))
+        hs = Hyperstructure(n + 1, (bonds,), BuildConfig(max_level=1))
+        k = nerve(hs, NerveConfig(rule=rule))
+        assert k.maximal_simplices == frozenset({tuple(range(n))})
 
 
 def _random_faces(simplex, rng, count=5):
@@ -250,10 +265,35 @@ def test_gluing_graph_invariants(bins):
             for (a, b), overlap in g.edges.items():
                 assert a < b
                 assert overlap
+            for v in g.vertices:
+                joined = {u for e in g.edges if v in e for u in e if u != v}
+                assert g.neighbors(v) == joined
+                assert g.adjacency[v] == bitmask(joined)
             for b in hs.level(i):
                 # a bond's downset is the union of its constituents' downsets
                 parts = [{c} if j == i - 1 else downset(hs, i - 1, c, j) for c in b.constituents]
                 assert downset(hs, i, b.id, j) == frozenset().union(*parts)
+
+
+@st.composite
+def _graphs(draw):
+    """(n, edges) on vertices 0..n-1, each edge (a, b) with a < b."""
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, {pair for pair, kept in zip(pairs, keep) if kept}
+
+
+@given(_graphs())
+@settings(max_examples=300, deadline=None)
+def test_max_cliques_matches_naive_oracle(graph):
+    n, edges = graph
+    adjacency = [bitmask(u for e in edges if v in e for u in e if u != v) for v in range(n)]
+    cliques = [tuple(members(c)) for c in max_cliques(adjacency, budget=10**6)]
+    expected = maximal_cliques_naive(n, edges)
+    assert sorted(cliques) == sorted(expected)  # each maximal clique exactly once
+    with pytest.raises(CliqueBudgetError):
+        list(max_cliques(adjacency, budget=len(expected) - 1))
 
 
 @st.composite
