@@ -40,8 +40,3 @@ def reduce_lows(columns):
             pivots[low] = column
         lows.append(low)
     return lows
-
-
-def rank(columns):
-    """GF(2) rank of a sparse column matrix."""
-    return sum(1 for low in reduce_lows(columns) if low >= 0)

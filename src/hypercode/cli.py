@@ -19,7 +19,7 @@ from hypercode import codes, homology, synth
 from hypercode.compare import compare_levels
 from hypercode.errors import HypercodeError, ParseError
 from hypercode.hyperstructure import BuildConfig, Hyperstructure, build_hyperstructure
-from hypercode.topology import NerveConfig, gluing_graph, nerve
+from hypercode.topology import DEFAULT_CLIQUE_BUDGET, NerveConfig, gluing_graph, level_complex, nerve
 
 
 def _domain_errors(fn):
@@ -157,8 +157,6 @@ def build(log_path, max_level, decomposition, min_count, two_pass, keep_union_wo
 def betti(hs_path, level, max_dim, dim_cap):
     """Print Betti numbers of a level complex, comma-separated."""
     hs = _load_hs(hs_path)
-    from hypercode.topology import level_complex
-
     _echo_betti(level_complex(hs, level), max_dim=max_dim, dim_cap=dim_cap)
 
 
@@ -166,7 +164,7 @@ def betti(hs_path, level, max_dim, dim_cap):
 @click.argument("hs_path", type=click.Path(exists=True))
 @click.option("--rule", type=click.Choice(["pairwise", "connected"]), default="pairwise", show_default=True)
 @click.option("--include-levels", default=None, help="Comma-separated levels (default: all).")
-@click.option("--clique-budget", type=int, default=10**6, show_default=True)
+@click.option("--clique-budget", type=int, default=DEFAULT_CLIQUE_BUDGET, show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write nerve complex JSON here.")
 @click.option("--betti", "print_betti", is_flag=True, help="Print the nerve's Betti numbers.")
 @click.option("--dot", type=click.Path(), default=None, help="Write a gluing-graph DOT file.")
@@ -205,11 +203,16 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
 def persist(hs_path, level, dim_cap, keep_zero, output):
     """Write frequency-filtered persistence barcodes as CSV."""
     hs = _load_hs(hs_path)
-    if level is None:
-        seq = homology.barcode_sequence(hs, dim_cap=dim_cap, keep_zero=keep_zero)
-    else:
-        f = homology.frequency_filtration(hs, level, dim_cap=dim_cap)
-        seq = [(level, homology.persistence(f, keep_zero=keep_zero))]
+    seq = []
+    for i in range(1, hs.k + 1) if level is None else (level,):
+        f = homology.frequency_filtration(hs, i, dim_cap=dim_cap)
+        if f.truncated:
+            click.echo(
+                f"note: level {i}: complex dimension exceeds dim_cap {f.dim_cap}; "
+                f"intervals of dimension {f.dim_cap} and above dropped",
+                err=True,
+            )
+        seq.append((i, homology.persistence(f, keep_zero=keep_zero)))
     Path(output).write_text(homology.barcodes_to_csv(seq))
 
 

@@ -105,21 +105,24 @@ class SimplicialComplex:
     ``vertex_labels`` is the ambient universe; only vertices occurring in
     some maximal simplex belong to the complex.  Faces are enumerated on
     demand (see :mod:`hypercode.homology`).
+
+    The constructor trusts its caller that the simplices are pairwise
+    incomparable, and checks only that each is nonempty, sorted,
+    duplicate-free and indexes ``vertex_labels``.  Build a complex from an
+    arbitrary family with :func:`generated_complex`; ``from_json_obj``
+    checks maximality too.
     """
 
     vertex_labels: tuple
     maximal_simplices: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        sims = self.maximal_simplices
-        for s in sims:
-            if list(s) != sorted(set(s)):
-                raise DimensionError(f"simplex must be sorted and duplicate-free: {s}")
-            if s and s[-1] >= len(self.vertex_labels):
-                raise DimensionError(f"vertex index {s[-1]} out of range")
-        extra = sims - maximal_sets(sims)
-        if extra:
-            raise DimensionError(f"simplex {min(extra)} is not inclusion-maximal")
+        n = len(self.vertex_labels)
+        for s in self.maximal_simplices:
+            if not s or list(s) != sorted(set(s)):
+                raise DimensionError(f"simplex must be nonempty, sorted and duplicate-free: {s}")
+            if s[0] < 0 or s[-1] >= n:
+                raise DimensionError(f"vertex index out of range 0..{n - 1} in {s}")
 
     @property
     def dim(self) -> int:
@@ -146,9 +149,16 @@ class SimplicialComplex:
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
         try:
             labels = tuple(tuple(v) if isinstance(v, list) else v for v in obj["vertices"])
-            return cls(labels, frozenset(tuple(s) for s in obj["maximal"]))
+            sims = frozenset(
+                tuple(_json_int(i, "vertex index") for i in s) for s in obj["maximal"]
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed complex JSON: {exc}") from exc
+        k = cls(labels, sims)
+        extra = sims - maximal_sets(sims)
+        if extra:
+            raise DimensionError(f"simplex {min(extra)} is not inclusion-maximal")
+        return k
 
 
 def support(word: Codeword) -> Pattern:

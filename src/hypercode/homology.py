@@ -5,7 +5,7 @@ are face-monotone by construction; ``validate()`` checks the values passed
 to ``Filtration.from_values``.  Betti numbers and barcodes both reduce the
 coboundary, bottom up, with clearing (``_graded_lows``), and read infinite
 bars and Betti numbers off the same unpaired simplices (``_essential``);
-the rank/reduction inner loop is :mod:`hypercode._gf2`.
+the reduction inner loop is :mod:`hypercode._gf2`.
 """
 
 from __future__ import annotations
@@ -43,19 +43,6 @@ def resolve_dim_cap(dim_cap: int | None = None) -> int:
     if cap < 1:
         raise ConfigError(f"HYPERCODE_DIM_CAP must be at least 1, got {raw!r}")
     return cap
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Sparse GF(2) boundary operator from d-simplices to (d-1)-faces."""
-
-    dim: int
-    rows: tuple[tuple[int, ...], ...]  # (d-1)-simplices, lexicographic
-    cols: tuple[tuple[int, ...], ...]  # d-simplices, lexicographic
-    columns: tuple[tuple[int, ...], ...]  # per column, sorted row indices
-
-    def rank(self) -> int:
-        return _gf2.rank(list(self.columns))
 
 
 @dataclass(frozen=True)
@@ -162,26 +149,6 @@ def _essential(pairs: list[list[int]]) -> list[list[int]]:
         essential.append([j for j, p in enumerate(level) if p < 0 and j not in killed])
         killed = set(level)
     return essential
-
-
-def boundary_matrix(
-    k: SimplicialComplex, d: int, dim_cap: int | None = None
-) -> BoundaryMatrix:
-    """The GF(2) boundary operator in dimension d, lexicographic orderings."""
-    cap = resolve_dim_cap(dim_cap)
-    if d > cap:
-        raise DimCapError(f"dimension {d} exceeds dim_cap {cap}")
-    if d < 1:
-        rows, cols = (), tuple(k.faces(0)[0])
-    else:
-        faces = k.faces(d)
-        rows, cols = tuple(faces[d - 1]), tuple(faces[d])
-    row_index = {s: i for i, s in enumerate(rows)}
-    columns = tuple(
-        tuple(sorted(row_index[f] for f in combinations(s, d))) if d >= 1 else ()
-        for s in cols
-    )
-    return BoundaryMatrix(d, rows, cols, columns)
 
 
 def betti(

@@ -79,6 +79,12 @@ def _check_level(h: Hyperstructure, i: int) -> None:
         raise LevelRangeError(f"level {i} out of range 1..{h.k}")
 
 
+def _check_stratum(h: Hyperstructure, i: int, j: int) -> None:
+    _check_level(h, i)
+    if not 0 <= j < i:
+        raise LevelRangeError(f"gluing level {j} must satisfy 0 <= j < {i}")
+
+
 def level_complex(h: Hyperstructure, i: int) -> SimplicialComplex:
     """The complex of level i: vertices one level down, simplices the bonds.
 
@@ -115,9 +121,7 @@ def delta_correspondence(h: Hyperstructure, i: int) -> Correspondence:
 
 def gluing_graph(h: Hyperstructure, i: int, j: int) -> GluingGraph:
     """Edge between two level-i bonds iff their level-j downsets intersect."""
-    _check_level(h, i)
-    if not 0 <= j < i:
-        raise LevelRangeError(f"gluing level {j} must satisfy 0 <= j < {i}")
+    _check_stratum(h, i, j)
     downsets = [downset(h, i, b.id, j) for b in h.level(i)]
     edges: dict[tuple[int, int], frozenset[int]] = {}
     adjacency = [0] * len(downsets)
@@ -134,18 +138,23 @@ def gluing_graph(h: Hyperstructure, i: int, j: int) -> GluingGraph:
 def compose_bonds(
     h: Hyperstructure, i: int, ids: Sequence[int], j: int
 ) -> CompositeDescriptor:
-    """Glue a chain of level-i bonds along their level-j overlaps."""
+    """Glue a chain of level-i bonds along their level-j overlaps.
+
+    Consecutive bonds must be joined in G(i, j): distinct, with level-j
+    downsets that meet.
+    """
     if not ids:
         raise CompositionError("empty composition")
-    graph = gluing_graph(h, i, j)
+    _check_stratum(h, i, j)
     downsets = [downset(h, i, bid, j) for bid in ids]  # raises on an unknown id
     overlaps: list[tuple[int, ...]] = []
     for a, b, down_a, down_b in zip(ids, ids[1:], downsets, downsets[1:]):
-        if not graph.adjacency[a] >> b & 1:
+        overlap = down_a & down_b
+        if a == b or not overlap:
             raise CompositionError(
                 f"bonds {a} and {b} at level {i} are not gluable at level {j}"
             )
-        overlaps.append(tuple(sorted(down_a & down_b)))
+        overlaps.append(tuple(sorted(overlap)))
     return CompositeDescriptor(
         level_i=i,
         level_j=j,

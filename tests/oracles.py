@@ -220,6 +220,35 @@ def rebuild_pass_naive(bins, max_level=3, mode="exact-cover"):
     return [[(tuple(e[0]), e[1]) for e in lvl] for lvl in levels]
 
 
+def downset_naive(levels, i, bond, j):
+    """Level-j descendants of one level-i bond; ``levels`` as in ``nerve_naive``."""
+    current = {bond}
+    for lvl in range(i, j, -1):
+        current = {c for b in current for c in levels[lvl - 1][b]}
+    return current
+
+
+def compose_naive(levels, i, ids, j):
+    """(union, overlaps) of a chain of level-i bonds glued at level j, or
+    the error it must raise: "empty" for no bond, "level" for i outside
+    1..k or j outside 0..i-1, "unknown" for an id that is no level-i bond,
+    "gluing" for neighbours that are equal or whose downsets are disjoint.
+    """
+    if not ids:
+        return "empty"
+    if not 1 <= i <= len(levels) or not 0 <= j < i:
+        return "level"
+    if any(b not in range(len(levels[i - 1])) for b in ids):
+        return "unknown"
+    downs = [downset_naive(levels, i, b, j) for b in ids]
+    overlaps = []
+    for a, b, down_a, down_b in zip(ids, ids[1:], downs, downs[1:]):
+        if a == b or not down_a & down_b:
+            return "gluing"
+        overlaps.append(tuple(sorted(down_a & down_b)))
+    return tuple(sorted(set().union(*downs))), tuple(overlaps)
+
+
 def nerve_naive(levels, rule="pairwise", include_levels=None):
     """(labels, maximal simplices) of the nerve, built stratum by stratum.
 
@@ -229,13 +258,6 @@ def nerve_naive(levels, rule="pairwise", include_levels=None):
     ("pairwise") or components ("connected") are unioned over all strata
     with every vertex as a singleton, then filtered by ``maximal_naive``.
     """
-
-    def down(i, bond, j):
-        current = {bond}
-        for lvl in range(i, j, -1):
-            current = {c for b in current for c in levels[lvl - 1][b]}
-        return current
-
     labels, family = [], []
     for i in range(1, len(levels) + 1):
         if include_levels is not None and i not in include_levels:
@@ -245,7 +267,7 @@ def nerve_naive(levels, rule="pairwise", include_levels=None):
         labels += [(i, v) for v in vertices]
         family += [(offset + v,) for v in vertices]
         for j in range(i):
-            downs = [down(i, v, j) for v in vertices]
+            downs = [downset_naive(levels, i, v, j) for v in vertices]
             adj = {v: {u for u in vertices if u != v and downs[u] & downs[v]} for v in vertices}
             if rule == "pairwise":
                 cliques = [{v} for v in vertices]

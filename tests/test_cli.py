@@ -292,6 +292,22 @@ def test_nerve_betti_above_cap_stops_below_it(runner, tmp_path, monkeypatch):
     assert json.loads(out.read_text())["maximal"] == [list(range(7))]
 
 
+def test_persist_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+    note = (
+        "note: level 1: complex dimension exceeds dim_cap 5; "
+        "intervals of dimension 5 and above dropped\n"
+    )
+    bars = tmp_path / "bars.csv"
+    _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
+    for level in ([], ["--level", "1"]):
+        r = runner.invoke(cli, ["persist", str(hs), *level, "-o", str(bars)])
+        assert (r.exit_code, r.stderr) == (0, note), r.output
+    _, hs = _pipeline(runner, tmp_path)
+    r = runner.invoke(cli, ["persist", str(hs), "-o", str(bars)])
+    assert (r.exit_code, r.stderr) == (0, "")
+
+
 def test_compare_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
     _, hs = _pipeline(runner, tmp_path, WIDE_CSV)

@@ -221,11 +221,16 @@ def test_maximal_sets_rejects_negative_index():
 
 
 def test_simplicial_complex_rejects_non_maximal_simplex():
+    # the loader checks maximality; the constructor trusts its caller
     sims = [[0, 1], [0, 1, 2]]
     with pytest.raises(DimensionError, match=r"\(0, 1\)"):
-        SimplicialComplex((0, 1, 2), frozenset(tuple(s) for s in sims))
-    with pytest.raises(DimensionError, match=r"\(0, 1\)"):
         SimplicialComplex.from_json_obj({"vertices": [0, 1, 2], "maximal": sims})
+
+
+@pytest.mark.parametrize("simplex", [(1, 0), (0, 0), (-1,), (2,), ()])
+def test_simplicial_complex_rejects_bad_simplex(simplex):
+    with pytest.raises(DimensionError):
+        SimplicialComplex((0, 1), frozenset({simplex}))
 
 
 @pytest.mark.parametrize(
@@ -237,6 +242,7 @@ def test_simplicial_complex_rejects_non_maximal_simplex():
         {"vertices": 3, "maximal": [[0]]},
         {"vertices": [0], "maximal": 7},
         [],
+        {"vertices": [0, 1], "maximal": [[True]]},
     ],
 )
 def test_complex_loader_raises_parse_error(obj):

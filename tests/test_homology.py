@@ -14,7 +14,6 @@ from hypercode.homology import (
     barcode_sequence,
     barcodes_to_csv,
     betti,
-    boundary_matrix,
     euler_characteristic_ok,
     frequency_filtration,
     persistence,
@@ -39,30 +38,6 @@ def _level1_hs(weighted_patterns, n):
         t += count
         bonds.append(Bond(bid, 1, tuple(sorted(members)), count, bins))
     return Hyperstructure(n, (tuple(bonds),), BuildConfig())
-
-
-HOLLOW_TRIANGLE = _complex([(0, 1), (1, 2), (0, 2)], 3)
-
-
-class TestBoundaryMatrix:
-    def test_hollow_triangle_d1(self):
-        bm = boundary_matrix(HOLLOW_TRIANGLE, 1)
-        assert len(bm.rows) == 3 and len(bm.cols) == 3
-        assert all(len(c) == 2 for c in bm.columns)
-        assert bm.rank() == 2
-
-    def test_single_vertex_d1(self):
-        bm = boundary_matrix(_complex([(0,)], 1), 1)
-        assert bm.cols == () and bm.columns == ()
-
-    def test_full_triangle_d2(self):
-        bm = boundary_matrix(_complex([(0, 1, 2)], 3), 2)
-        assert len(bm.cols) == 1
-        assert len(bm.columns[0]) == 3
-
-    def test_dim_cap(self):
-        with pytest.raises(DimCapError):
-            boundary_matrix(HOLLOW_TRIANGLE, 6, dim_cap=5)
 
 
 class TestBetti:

@@ -6,6 +6,10 @@ from hypercode import _gf2
 from oracles import gf2_lows_dense, gf2_rank_dense
 
 
+def _rank(columns):
+    return sum(1 for low in _gf2.reduce_lows(columns) if low >= 0)
+
+
 def _dense(columns, n_rows):
     mat = [[0] * len(columns) for _ in range(n_rows)]
     for j, rows in enumerate(columns):
@@ -24,7 +28,7 @@ def _dense(columns, n_rows):
 )
 def test_rank_matches_dense_oracle(case):
     n_rows, columns = case
-    assert _gf2.rank(columns) == gf2_rank_dense(_dense(columns, n_rows))
+    assert _rank(columns) == gf2_rank_dense(_dense(columns, n_rows))
 
 
 @st.composite
@@ -53,7 +57,7 @@ def test_reduce_lows_matches_dense_oracle(case, generators):
 
 def test_empty_matrix():
     assert _gf2.reduce_lows([]) == []
-    assert _gf2.rank([[], []]) == 0
+    assert _rank([[], []]) == 0
 
 
 def test_known_small_case():

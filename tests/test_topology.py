@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypercode.codes import OccurrenceLog, Pattern, bitmask, generated_complex, members
-from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError, LevelRangeError
+from hypercode.errors import (
+    BondLookupError,
+    CliqueBudgetError,
+    CompositionError,
+    ConfigError,
+    LevelRangeError,
+)
 from hypercode.hyperstructure import (
     Bond,
     BuildConfig,
@@ -27,7 +33,7 @@ from hypercode.topology import (
     nerve,
 )
 
-from oracles import betti_naive, maximal_cliques_naive, nerve_naive
+from oracles import betti_naive, compose_naive, maximal_cliques_naive, maximal_naive, nerve_naive
 
 
 def _log(bins, n):
@@ -326,3 +332,52 @@ def test_nerve_matches_all_strata_oracle(bins, rule, mode, min_count, max_level,
     labels, maximal = nerve_naive(levels, rule, include)
     assert list(k.vertex_labels) == labels
     assert k.maximal_simplices == maximal
+
+
+_MODES = ["exact-cover", "subset-realization"]
+
+
+@given(_assemblies(), st.sampled_from(_MODES), st.integers(1, 2), st.integers(1, 4))
+@example(_CHAIN_BINS, "subset-realization", 1, 4)
+@settings(max_examples=200, deadline=None)
+def test_level_complex_matches_maximal_oracle(bins, mode, min_count, max_level):
+    cfg = BuildConfig(max_level=max_level, decomposition=mode, min_count=min_count)
+    hs = build_hyperstructure(_log(bins, 6), cfg)
+    for i in range(1, hs.k + 1):
+        family = [tuple(sorted(b.constituents)) for b in hs.level(i)]
+        if i >= 2:
+            covered = {c for b in hs.level(i) for c in b.constituents}
+            family += [(b.id,) for b in hs.level(i - 1) if b.id not in covered]
+        assert level_complex(hs, i).maximal_simplices == maximal_naive(family)
+
+
+_COMPOSE_ERRORS = {
+    "empty": CompositionError,
+    "level": LevelRangeError,
+    "unknown": BondLookupError,
+    "gluing": CompositionError,
+}
+
+
+@given(_assemblies(), st.sampled_from(_MODES), st.integers(1, 2), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_compose_bonds_matches_naive_oracle(bins, mode, min_count, max_level, data):
+    cfg = BuildConfig(max_level=max_level, decomposition=mode, min_count=min_count)
+    hs = build_hyperstructure(_log(bins, 6), cfg)
+    levels = [[b.constituents for b in bonds] for bonds in hs.levels]
+    # every stratum and levels one past each end; for each, unknown ids,
+    # every pair of bonds ([a, a] is never gluable) and a few longer chains
+    for i in range(hs.k + 2):
+        for j in range(-1, i + 1):
+            n = len(levels[i - 1]) if 1 <= i <= hs.k else 1
+            pairs = [[a, b] for a in range(n) for b in range(n)]
+            bond = st.integers(0, n - 1)
+            chains = data.draw(st.lists(st.lists(bond, min_size=3, max_size=5), max_size=4))
+            for ids in [[], [-1], [n], [n - 1], [0, n], *pairs, *chains]:
+                expected = compose_naive(levels, i, ids, j)
+                if isinstance(expected, str):
+                    with pytest.raises(_COMPOSE_ERRORS[expected]):
+                        compose_bonds(hs, i, ids, j)
+                else:
+                    comp = compose_bonds(hs, i, ids, j)
+                    assert (comp.union, comp.overlaps) == expected
