@@ -9,7 +9,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from hypercode.errors import ConfigError, DimensionError, ParseError
@@ -103,8 +102,8 @@ class SimplicialComplex:
     """A complex stored by its inclusion-maximal simplices.
 
     ``vertex_labels`` is the ambient universe; only vertices occurring in
-    some maximal simplex belong to the complex.  Faces are enumerated on
-    demand (see :mod:`hypercode.homology`).
+    some maximal simplex belong to the complex.  Faces are not stored:
+    :mod:`hypercode.homology` enumerates them from the maximal simplices.
 
     The constructor trusts its caller that the simplices are pairwise
     incomparable, and checks only that each is nonempty, sorted,
@@ -129,15 +128,6 @@ class SimplicialComplex:
         if not self.maximal_simplices:
             return -1
         return max(len(s) for s in self.maximal_simplices) - 1
-
-    def faces(self, max_dim: int) -> list[list[tuple[int, ...]]]:
-        """All faces per dimension 0..max_dim, each list lexicographically sorted."""
-        by_dim: list[set[tuple[int, ...]]] = [set() for _ in range(max_dim + 1)]
-        for s in self.maximal_simplices:
-            top = min(len(s), max_dim + 1)
-            for k in range(1, top + 1):
-                by_dim[k - 1].update(combinations(s, k))
-        return [sorted(level) for level in by_dim]
 
     def to_json_obj(self) -> dict:
         return {

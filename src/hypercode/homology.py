@@ -1,20 +1,21 @@
 """GF(2) simplicial homology, frequency filtrations and persistence barcodes.
 
-Frequency filtration values are pushed down from a level's bonds, so they
-are face-monotone by construction; ``validate()`` checks the values passed
-to ``Filtration.from_values``.  Betti numbers and barcodes both reduce the
-coboundary, bottom up, with clearing (``_graded_lows``), and read infinite
-bars and Betti numbers off the same unpaired simplices (``_essential``);
-the reduction inner loop is :mod:`hypercode._gf2`.
+``_faces`` lists every face, per dimension, at the smallest value of a
+given simplex containing it: the bonds for ``frequency_filtration``, the
+maximal simplices at one value for ``betti``.  Only ``persistence`` reduces
+(coboundary, bottom up, with clearing; inner loop in :mod:`hypercode._gf2`),
+and Betti numbers are its infinite bars.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable
 
 from hypercode import _gf2
 from hypercode.codes import SimplicialComplex
@@ -47,17 +48,32 @@ def resolve_dim_cap(dim_cap: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Filtration:
-    """A face-monotone value per simplex, in a valid reduction order.
+    """A face-monotone value per simplex, stored per dimension.
 
-    ``frequency_filtration`` pushes values down from the bonds; ``from_values``
-    runs ``validate()`` on a caller's values and reads ``complex`` only to
-    set ``truncated``.
+    ``faces[d]`` holds the d-simplices in (value, lex) order, the order
+    ``persistence`` reduces in, and ``face_values[d]`` their values.
+    ``from_values`` checks a caller's values with ``validate()`` and reads
+    ``complex`` only to set ``truncated``.
     """
 
-    simplices: tuple[tuple[int, ...], ...]  # (value asc, dim asc, lex)
-    values: tuple[float, ...]
+    faces: tuple[tuple[tuple[int, ...], ...], ...]
+    face_values: tuple[tuple[float, ...], ...]
     dim_cap: int
     truncated: bool  # complex dimension exceeded dim_cap
+
+    @property
+    def simplices(self) -> tuple[tuple[int, ...], ...]:
+        """Every simplex in (value, dim, lex) order, as is ``values``; built on each read."""
+        return tuple(s for _, s in self._flat())
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(v for v, _ in self._flat())
+
+    def _flat(self):
+        # merge breaks value ties by argument order: lower dimensions first
+        levels = (zip(values, level) for level, values in zip(self.faces, self.face_values))
+        return heapq.merge(*levels, key=itemgetter(0))
 
     @classmethod
     def from_values(
@@ -67,27 +83,40 @@ class Filtration:
         dim_cap: int | None = None,
     ) -> "Filtration":
         cap = resolve_dim_cap(dim_cap)
-        f = _ordered(values, cap, complex.dim > cap)
-        f.validate()
-        return f
+        _check_monotone(values)
+        top = max(map(len, values), default=0) - 1
+        return cls(*_faces(values.items(), top), cap, complex.dim > cap)
 
     def validate(self) -> None:
-        value_of = dict(zip(self.simplices, self.values))
-        for s, v in value_of.items():
-            if len(s) < 2:
-                continue
-            for face in combinations(s, len(s) - 1):
-                if face not in value_of:
-                    raise FiltrationError(f"face {face} of {s} missing from filtration")
-                if value_of[face] > v:
-                    raise FiltrationError(
-                        f"face {face} (value {value_of[face]}) enters after {s} (value {v})"
-                    )
+        _check_monotone(dict(zip(self.simplices, self.values)))
 
 
-def _ordered(values: dict[tuple[int, ...], float], cap: int, truncated: bool) -> Filtration:
-    order = sorted(values, key=lambda s: (values[s], len(s), s))
-    return Filtration(tuple(order), tuple(values[s] for s in order), cap, truncated)
+def _check_monotone(value_of: dict[tuple[int, ...], float]) -> None:
+    for s, v in value_of.items():
+        if len(s) < 2:
+            continue
+        for face in combinations(s, len(s) - 1):
+            if face not in value_of:
+                raise FiltrationError(f"face {face} of {s} missing from filtration")
+            if value_of[face] > v:
+                raise FiltrationError(
+                    f"face {face} (value {value_of[face]}) enters after {s} (value {v})"
+                )
+
+
+def _faces(valued: Iterable[tuple[tuple[int, ...], float]], top: int):
+    """Faces of dimension 0..top of the given simplices: per dimension, the
+    faces in (value, lex) order and their values, each face at the smallest
+    value of a given simplex containing it."""
+    value_of: list[dict[tuple[int, ...], float]] = [{} for _ in range(top + 1)]
+    for s, value in sorted(valued, key=itemgetter(1)):  # so the first value seen is the min
+        for size in range(1, min(len(s), top + 1) + 1):
+            for face in combinations(s, size):
+                value_of[size - 1].setdefault(face, value)
+    # a stable sort by value of the lex order: (value, lex)
+    faces = [sorted(sorted(level), key=level.__getitem__) for level in value_of]
+    values = (tuple(map(level.__getitem__, order)) for level, order in zip(value_of, faces))
+    return tuple(map(tuple, faces)), tuple(values)
 
 
 @dataclass(frozen=True)
@@ -105,52 +134,6 @@ class Barcode:
         )
 
 
-def _graded_lows(levels: Sequence[Sequence[tuple[int, ...]]]) -> list[list[int]]:
-    """Pair the simplices of a complex by dimension: coboundary, bottom up, clearing.
-
-    ``levels[d]`` holds the d-simplices in reduction order.  Returns, per
-    dimension d, for each d-simplex ``levels[d][j]`` the index into
-    ``levels[d + 1]`` of the (d+1)-simplex it pairs with, or -1 (always -1
-    in the top dimension).
-
-    Each coboundary operator delta_d is reduced on its own, from dimension
-    0 up (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021):
-    columns are the d-simplices and rows the (d+1)-simplices, both in
-    reverse order, so a column's low is the first coface in order and the
-    pairs are those of the boundary reduction.  Clearing runs upward: a
-    (d+1)-simplex that is already a pivot of delta_d gets an empty column
-    in delta_{d+1}.  A d-simplex is essential when it is neither paired
-    nor a pivot one dimension down, and rank d_{d+1} = rank delta_d.
-    """
-    pairs = [[-1] * len(level) for level in levels]
-    cleared: set[int] = set()
-    for d in range(len(levels) - 1):
-        level, n_rows, last = levels[d], len(levels[d + 1]), len(levels[d]) - 1
-        cofaces: dict[tuple[int, ...], list[int]] = {s: [] for s in level}
-        for row, t in zip(range(n_rows - 1, -1, -1), levels[d + 1]):
-            for f in combinations(t, d + 1):
-                cofaces[f].append(row)
-        columns = (() if j in cleared else cofaces[level[j]] for j in range(last, -1, -1))
-        lows = _gf2.reduce_lows(columns)
-        cleared = set()
-        for k, low in enumerate(lows):
-            if low >= 0:
-                pairs[d][last - k] = n_rows - 1 - low
-                cleared.add(n_rows - 1 - low)
-    return pairs
-
-
-def _essential(pairs: list[list[int]]) -> list[list[int]]:
-    """Per dimension, the simplices neither paired one dimension up nor a
-    pivot from below: the infinite bars, as many as beta_d."""
-    essential: list[list[int]] = []
-    killed: set[int] = set()
-    for level in pairs:
-        essential.append([j for j, p in enumerate(level) if p < 0 and j not in killed])
-        killed = set(level)
-    return essential
-
-
 def betti(
     k: SimplicialComplex, max_dim: int | None = None, dim_cap: int | None = None
 ) -> tuple[int, ...]:
@@ -163,9 +146,8 @@ def betti(
     explicit max_dim at or above the cap of such a complex raises
     ``DimCapError``.
 
-    beta_d counts the d-simplices of the lexicographic coboundary pairing
-    (bottom up, with clearing) that are neither paired one dimension up
-    nor a pivot from below, i.e. #d-simplices - rank d_d - rank d_{d+1}.
+    beta_d counts the infinite d-bars of ``persistence`` over the complex
+    with every face at one value, its faces up to dimension max_dim + 1.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
@@ -177,8 +159,9 @@ def betti(
             f"complex dimension {k.dim} exceeds dim_cap {cap}; "
             f"homology above dimension {cap - 1} unavailable"
         )
-    essential = _essential(_graded_lows(k.faces(min(max_dim + 1, cap))))
-    return tuple(([len(e) for e in essential] + [0] * max_dim)[: max_dim + 1])
+    valued = ((s, 0.0) for s in k.maximal_simplices)
+    bars = persistence(Filtration(*_faces(valued, min(max_dim + 1, cap)), cap, k.dim > cap))
+    return tuple(sum(math.isinf(e) for _, e in bars.in_dim(d)) for d in range(max_dim + 1))
 
 
 def euler_characteristic_ok(k: SimplicialComplex, dim_cap: int | None = None) -> bool:
@@ -188,7 +171,7 @@ def euler_characteristic_ok(k: SimplicialComplex, dim_cap: int | None = None) ->
         raise DimCapError(f"complex dimension {k.dim} exceeds dim_cap {cap}")
     if k.dim < 0:
         return True
-    faces = k.faces(k.dim)
+    faces, _ = _faces(((s, 0.0) for s in k.maximal_simplices), k.dim)
     chi_f = sum((-1) ** d * len(level) for d, level in enumerate(faces))
     b = betti(k, k.dim, dim_cap=cap)
     chi_b = sum((-1) ** d * bd for d, bd in enumerate(b))
@@ -200,63 +183,63 @@ def frequency_filtration(
 ) -> Filtration:
     """Filter the level-i complex by bond frequency: frequent patterns first.
 
-    Built from the level-i bonds alone.  A bond enters at c_max - count and
-    pushes that value down to its faces up to the dim cap, most frequent
-    bond first, so each face gets the min over the bonds containing it and
-    never enters after a coface; no ``validate()`` is needed.  Level-(i-1)
-    bonds bound by no level-i bond enter at 0 as isolated vertices.
-    ``truncated`` means the widest bond has more than cap + 1 constituents.
+    Built from the level-i bonds alone: a bond enters at c_max - count and
+    ``_faces`` gives each face, up to the dim cap, the min over the bonds
+    containing it, so no face enters after a coface and no ``validate()``
+    is needed.  Level-(i-1) bonds bound by no level-i bond enter at 0 as
+    isolated vertices.  ``truncated`` means the widest bond has more than
+    cap + 1 constituents.
     """
     if not 1 <= i <= h.k:
         raise LevelRangeError(f"level {i} out of range 1..{h.k}")
     cap = resolve_dim_cap(dim_cap)
-    bonds = sorted(h.level(i), key=lambda b: -b.count)
-    c_max = bonds[0].count
-    values: dict[tuple[int, ...], float] = {}
-    for b in bonds:
-        value = float(c_max - b.count)
-        for size in range(1, min(len(b.constituents), cap + 1) + 1):
-            for face in combinations(b.constituents, size):
-                values.setdefault(face, value)
+    bonds = h.level(i)
+    c_max = max(b.count for b in bonds)
+    valued = [(b.constituents, float(c_max - b.count)) for b in bonds]
     if i >= 2:
-        for b in h.level(i - 1):
-            values.setdefault((b.id,), 0.0)
-    truncated = max(len(b.constituents) for b in bonds) > cap + 1
-    return _ordered(values, cap, truncated)
+        covered = {c for b in bonds for c in b.constituents}
+        valued.extend(((b.id,), 0.0) for b in h.level(i - 1) if b.id not in covered)
+    top = max(len(b.constituents) for b in bonds) - 1
+    return Filtration(*_faces(valued, min(top, cap)), cap, top > cap)
 
 
 def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
-    """Barcode of a filtration: coboundary, bottom up, clearing.
+    """Barcode of a filtration: coboundary, bottom up, with clearing.
 
-    A pair (sigma, tau) of the coboundary reduction is the interval
-    (dim sigma, value sigma, value tau); a simplex neither paired nor a
-    pivot one dimension down is an infinite bar.
+    Each coboundary operator delta_d is reduced on its own, from dimension
+    0 up (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021):
+    columns are the d-simplices and rows the (d+1)-simplices, both in
+    reverse order, so a column's low is its first coface in order and the
+    pairs are those of the boundary reduction.  A pair (sigma, tau) is the
+    interval (dim sigma, value sigma, value tau).  Clearing runs upward: a
+    (d+1)-simplex that is already a pivot of delta_d gets an empty column
+    in delta_{d+1}; a simplex neither paired nor such a pivot is an
+    infinite bar.
 
     Zero-length intervals are dropped unless ``keep_zero``.  A truncated
     filtration (complex dimension above dim_cap) holds simplices only up
     to dimension dim_cap, so every interval of dimension dim_cap and above
     is dropped from its barcode.
     """
-    levels: list[list[tuple[int, ...]]] = []
-    values: list[list[float]] = []
-    for s, v in zip(f.simplices, f.values):
-        while len(levels) < len(s):
-            levels.append([])
-            values.append([])
-        levels[len(s) - 1].append(s)
-        values[len(s) - 1].append(v)
-    pairs = _graded_lows(levels)
+    faces, values = f.faces, f.face_values
     intervals: list[tuple[int, float, float]] = []
-    for d, level_pairs in enumerate(pairs):
-        for j, p in enumerate(level_pairs):
-            if p >= 0:
-                birth, death = values[d][j], values[d + 1][p]
+    cleared: set[int] = set()  # pivots of delta_{d-1}, as reversed positions in faces[d]
+    for d in range(min(len(faces), f.dim_cap) if f.truncated else len(faces)):
+        rows = faces[d + 1] if d + 1 < len(faces) else ()
+        cofaces: dict[tuple[int, ...], list[int]] = {s: [] for s in faces[d]}
+        for row, t in enumerate(reversed(rows)):
+            for face in combinations(t, d + 1):
+                cofaces[face].append(row)
+        columns = (() if k in cleared else cofaces[s] for k, s in enumerate(reversed(faces[d])))
+        lows = _gf2.reduce_lows(columns)
+        for k, (low, birth) in enumerate(zip(lows, reversed(values[d]))):
+            if low >= 0:
+                death = values[d + 1][-1 - low]
                 if keep_zero or death > birth:
                     intervals.append((d, birth, death))
-    for d, essential in enumerate(_essential(pairs)):
-        intervals.extend((d, values[d][j], math.inf) for j in essential)
-    if f.truncated:
-        intervals = [iv for iv in intervals if iv[0] < f.dim_cap]
+            elif k not in cleared:
+                intervals.append((d, birth, math.inf))
+        cleared = set(lows)
     intervals.sort()
     return Barcode(tuple(intervals))
 

@@ -8,7 +8,7 @@ over the bins of an :class:`~hypercode.codes.OccurrenceLog`.
 from __future__ import annotations
 
 import bisect
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from hypercode.codes import OccurrenceLog, Pattern, _json_int, bitmask
@@ -56,7 +56,15 @@ class BuildConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BuildConfig":
-        cfg = cls(**{k: obj[k] for k in obj})
+        """Read exactly the five fields, integers and flags of their JSON types."""
+        if set(obj) != {f.name for f in fields(cls)}:
+            raise ParseError(f"config keys must be the BuildConfig fields, got {sorted(obj)}")
+        for name in ("max_level", "min_count"):
+            _json_int(obj[name], f"config {name}")
+        for name in ("two_pass", "keep_union_words"):
+            if type(obj[name]) is not bool:
+                raise ParseError(f"config {name} must be true or false, got {obj[name]!r}")
+        cfg = cls(**obj)
         cfg.validate()
         return cfg
 

@@ -7,6 +7,8 @@ Every operation here is a pure function of an immutable
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator, Sequence
 
 from hypercode.codes import Pattern, SimplicialComplex, generated_complex, maximal_sets, members
@@ -33,8 +35,17 @@ class GluingGraph:
     level_i: int
     level_j: int
     vertices: tuple[int, ...]  # bond ids, which are positions within their level
-    edges: dict[tuple[int, int], frozenset[int]]  # (a, b) with a < b -> overlap
+    downsets: tuple[int, ...]  # per vertex, the bitmask of its level-j downset
     adjacency: tuple[int, ...]  # per vertex, the bitmask of its neighbours
+
+    @property
+    def edges(self) -> dict[tuple[int, int], frozenset[int]]:
+        """(a, b) with a < b -> the overlap of their downsets, worked out on each read."""
+        return {
+            (a, b): frozenset(members(self.downsets[a] & self.downsets[b]))
+            for a in self.vertices
+            for b in members(self.adjacency[a] >> (a + 1) << (a + 1))
+        }
 
     def neighbors(self, v: int) -> set[int]:
         return set(members(self.adjacency[v]))
@@ -122,17 +133,17 @@ def delta_correspondence(h: Hyperstructure, i: int) -> Correspondence:
 def gluing_graph(h: Hyperstructure, i: int, j: int) -> GluingGraph:
     """Edge between two level-i bonds iff their level-j downsets intersect."""
     _check_stratum(h, i, j)
-    downsets = [downset(h, i, b.id, j) for b in h.level(i)]
-    edges: dict[tuple[int, int], frozenset[int]] = {}
+    # level-j downsets as bitmasks: one bit per level-j item, ORed up level by level
+    downsets = [1 << v for v in range(len(h.level(j)) if j else h.n)]
+    for level in range(j + 1, i + 1):
+        downsets = [reduce(or_, (downsets[c] for c in b.constituents), 0) for b in h.level(level)]
     adjacency = [0] * len(downsets)
     for a, down_a in enumerate(downsets):
         for b in range(a + 1, len(downsets)):
-            overlap = down_a & downsets[b]
-            if overlap:
-                edges[(a, b)] = overlap
+            if down_a & downsets[b]:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-    return GluingGraph(i, j, tuple(range(len(downsets))), edges, tuple(adjacency))
+    return GluingGraph(i, j, tuple(range(len(downsets))), tuple(downsets), tuple(adjacency))
 
 
 def compose_bonds(
@@ -217,10 +228,13 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
     loader ensure it), so G(i, j) is a subgraph of G(i, 0) on the same
     vertices.  The maximal cliques or components of G(i, 0) are pairwise
     incomparable and cover every vertex, and levels share no vertex, so
-    they are the maximal simplices as they stand.
+    they are the maximal simplices as they stand.  An included level
+    outside 1..k raises ``LevelRangeError`` before any graph is built.
     """
     cfg = cfg or NerveConfig()
     cfg.validate()
+    for i in sorted(cfg.include_levels or ()):
+        _check_level(h, i)
     labels: list[tuple[int, int]] = []
     maximal: set[tuple[int, ...]] = set()
     for i in range(1, h.k + 1):

@@ -161,6 +161,13 @@ ARTIFACT_MUTATIONS = {
     "bins-missing": _drop_bins,
     "empty-level": lambda obj: obj["levels"].append([]),
     "levels-not-a-list": _set(["levels"], 5),
+    "config-max-level-float": _set(["config", "max_level"], 2.5),
+    "config-max-level-bool": _set(["config", "max_level"], True),
+    "config-min-count-float": _set(["config", "min_count"], 1.0),
+    "config-two-pass-string": _set(["config", "two_pass"], "no"),
+    "config-keep-union-words-int": _set(["config", "keep_union_words"], 0),
+    "config-key-missing": lambda obj: obj["config"].pop("min_count"),
+    "config-key-unknown": _set(["config", "seed"], 1),
 }
 
 
@@ -195,6 +202,18 @@ def test_nerve_dot_levels_out_of_range_fails_before_writing(runner, tmp_path):
     assert r.exit_code == 1
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
     assert not out.exists() and not dot.exists()
+
+
+@pytest.mark.parametrize("levels", ["7", "0,-1"])
+def test_nerve_include_levels_out_of_range(runner, tmp_path, levels):
+    _, hs = _pipeline(runner, tmp_path)
+    out = tmp_path / "nerve.json"
+    r = runner.invoke(cli, ["nerve", str(hs), "--include-levels", levels, "-o", str(out)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert "out of range 1..2" in r.stderr
+    assert not out.exists()
 
 
 def test_nerve_include_levels_not_integers(runner, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +225,41 @@ def test_infinite_bars_match_betti(patterns, cap):
     expected = list(betti(k, max_dim=top, dim_cap=cap)) + [0] * (cap - 1 - top)
     infinite = [sum(1 for _, e in bars.in_dim(d) if math.isinf(e)) for d in range(cap)]
     assert infinite == expected
+
+
+@st.composite
+def _flag_filtrations(draw):
+    """(complex, values) of a random flag complex up to dimension 3, values distinct.
+
+    Vertices and edges get distinct random weights; a simplex's key is the
+    largest weight among its vertices and edges, so sorting by (key, dim)
+    lists every face before its cofaces, and positions are the values.
+    """
+    n = draw(st.integers(1, 7))
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    cells = [(v,) for v in range(n)] + edges
+    weight = dict(zip(cells, draw(st.permutations(range(len(cells))))))
+    simplices = [
+        s
+        for size in range(1, 5)
+        for s in combinations(range(n), size)
+        if all(e in weight for e in combinations(s, 2))
+    ]
+    simplices.sort(key=lambda s: (max(weight[c] for c in cells if set(c) <= set(s)), len(s)))
+    k = generated_complex([Pattern(s) for s in simplices], n)
+    return k, {s: float(t) for t, s in enumerate(simplices)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flag_filtrations(), st.sampled_from([1, 2, 5]))
+def test_persistence_from_values_matches_dense_oracle(filtration, cap):
+    k, values = filtration
+    f = Filtration.from_values(k, values, dim_cap=cap)
+    assert f.simplices == tuple(sorted(values, key=values.get))
+    expected = persistence_naive(f.simplices, f.values)
+    if f.truncated:
+        expected = [iv for iv in expected if iv[0] < cap]
+    assert list(persistence(f, keep_zero=True).intervals) == expected
 
 
 class TestPersistence:

@@ -194,6 +194,11 @@ class TestNerve:
         assert len(k.vertex_labels) == 3
         assert all(len(s) == 1 for s in k.maximal_simplices)
 
+    @pytest.mark.parametrize("levels", [{7}, {0, -1}, {1, 3}])
+    def test_include_levels_out_of_range(self, triad, levels):
+        with pytest.raises(LevelRangeError, match="out of range 1..2"):
+            nerve(triad, NerveConfig(include_levels=frozenset(levels)))
+
     def test_flag_complex_property(self):
         # every edge of every maximal simplex is a gluing edge and every
         # maximal clique appears
@@ -268,9 +273,12 @@ def test_gluing_graph_invariants(bins):
     for i in range(1, hs.k + 1):
         for j in range(i):
             g = gluing_graph(hs, i, j)
-            for (a, b), overlap in g.edges.items():
-                assert a < b
-                assert overlap
+            downs = [downset(hs, i, v, j) for v in g.vertices]
+            assert g.edges == {
+                (a, b): downs[a] & downs[b]
+                for a, b in combinations(g.vertices, 2)
+                if downs[a] & downs[b]
+            }
             for v in g.vertices:
                 joined = {u for e in g.edges if v in e for u in e if u != v}
                 assert g.neighbors(v) == joined
@@ -327,6 +335,10 @@ def _assemblies(draw):
 def test_nerve_matches_all_strata_oracle(bins, rule, mode, min_count, max_level, include):
     cfg = BuildConfig(max_level=max_level, decomposition=mode, min_count=min_count)
     hs = build_hyperstructure(_log(bins, 6), cfg)
+    if include is not None and include - set(range(1, hs.k + 1)):
+        with pytest.raises(LevelRangeError):
+            nerve(hs, NerveConfig(rule=rule, include_levels=include))
+        include &= set(range(1, hs.k + 1))
     k = nerve(hs, NerveConfig(rule=rule, include_levels=include))
     levels = [[b.constituents for b in bonds] for bonds in hs.levels]
     labels, maximal = nerve_naive(levels, rule, include)
