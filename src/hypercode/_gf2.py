@@ -1,8 +1,6 @@
-"""GF(2) column reduction on sparse columns, promoted to big-int bitsets."""
+"""GF(2) column reduction on columns built only when they collide."""
 
 from __future__ import annotations
-
-from hypercode.codes import bitmask
 
 GF2_BACKEND = "python"
 
@@ -10,33 +8,34 @@ GF2_BACKEND = "python"
 def reduce_lows(columns):
     """Left-to-right column reduction over GF(2).
 
-    ``columns`` is any iterable (a generator too) of row-index iterables,
-    one per column, each in any row order; an empty one is a zero column
-    and a repeated row index counts once.  Returns, for each column, the
-    row index of its lowest 1 after reduction, or -1 if the column was
+    ``columns`` is any iterable (a generator too) of (low, rows) pairs,
+    one per column.  ``rows()`` returns the column's row keys, any
+    non-negative ints in any order, a repeated key counting once; ``low``
+    is their maximum, or -1 for a zero column.  Returns, for each column,
+    the row key of its lowest 1 after reduction, or -1 if the column was
     zeroed out.  The number of non-negative entries is the rank of the
     matrix.
 
-    Columns stay sparse until their first XOR: a column is kept as its
-    row tuple with low ``max(rows)``, and becomes a big-int bitset only
-    when that low is already a pivot's.  A stored pivot is converted to
-    a big-int the first time it is XORed into another column.
+    ``rows()`` is called only on a collision, when ``low`` is already a
+    pivot's; a stored pivot's ``rows()`` is called the first time it is
+    XORed into another column.  So a zero column may pass any ``rows``,
+    and a column that never collides is never built.  Keys can be too
+    sparse for bitsets, so a built column is a set of keys and XOR is
+    symmetric difference.
     """
     lows: list[int] = []
-    pivots: dict[int, tuple[int, ...] | int] = {}
-    for rows in columns:
-        column = tuple(rows)
-        low = max(column, default=-1)
+    pivots: dict[int, object] = {}  # low -> its column: rows, or the built set
+    for low, rows in columns:
         pivot = pivots.get(low)
         if pivot is not None:
-            column = bitmask(column)
+            rows = set(rows())
             while pivot is not None:
-                if type(pivot) is tuple:
-                    pivot = pivots[low] = bitmask(pivot)
-                column ^= pivot
-                low = column.bit_length() - 1
+                if type(pivot) is not set:
+                    pivot = pivots[low] = set(pivot())
+                rows ^= pivot
+                low = max(rows, default=-1)
                 pivot = pivots.get(low)
         if low >= 0:
-            pivots[low] = column
+            pivots[low] = rows
         lows.append(low)
     return lows

@@ -1,10 +1,14 @@
 """GF(2) simplicial homology, frequency filtrations and persistence barcodes.
 
-``_faces`` lists every face, per dimension, at the smallest value of a
-given simplex containing it: the bonds for ``frequency_filtration``, the
-maximal simplices at one value for ``betti``.  Only ``persistence`` reduces
-(coboundary, bottom up, with clearing; inner loop in :mod:`hypercode._gf2`),
-and Betti numbers are its infinite bars.
+A filtration is stored as its generators: (simplex, value) pairs, every
+face of which enters at the smallest value of a generator containing it
+(the bonds for ``frequency_filtration``, the maximal simplices at one
+value for ``betti``).  ``_Generators`` indexes them as bitmasks;
+``_faces`` enumerates the faces of the column dimensions, and
+``persistence``, the only reduction (coboundary, bottom up, with clearing;
+inner loop in :mod:`hypercode._gf2`), generates a column's cofaces from
+the generators only when the kernel needs them.  Betti numbers are its
+infinite bars.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ import heapq
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations
-from operator import itemgetter
-from typing import Iterable
+from functools import partial
+from itertools import combinations, repeat
+from operator import itemgetter, or_
+from typing import Iterable, Iterator
 
 from hypercode import _gf2
-from hypercode.codes import SimplicialComplex
+from hypercode.codes import SimplicialComplex, members
 from hypercode.errors import ConfigError, DimCapError, FiltrationError, LevelRangeError
 from hypercode.hyperstructure import Hyperstructure
 
@@ -48,31 +53,49 @@ def resolve_dim_cap(dim_cap: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Filtration:
-    """A face-monotone value per simplex, stored per dimension.
+    """A face-monotone value per simplex, stored as its generators.
 
-    ``faces[d]`` holds the d-simplices in (value, lex) order, the order
-    ``persistence`` reduces in, and ``face_values[d]`` their values.
-    ``from_values`` checks a caller's values with ``validate()`` and reads
-    ``complex`` only to set ``truncated``.
+    Every face of a generator, up to dimension ``top``, enters at the
+    smallest value of a generator containing it.  ``faces[d]`` lists the
+    d-simplices in (value, lex) order and ``face_values[d]`` their values;
+    these and the flat ``simplices`` and ``values`` are built on each read.
+    ``persistence`` reduces the columns of dimensions 0..top (below
+    ``dim_cap`` when ``truncated``), their cofaces generated one dimension
+    up.  ``from_values`` checks a caller's values with ``validate()`` and
+    reads ``complex`` only to set ``truncated``.
     """
 
-    faces: tuple[tuple[tuple[int, ...], ...], ...]
-    face_values: tuple[tuple[float, ...], ...]
+    generators: tuple[tuple[tuple[int, ...], float], ...]
+    top: int
     dim_cap: int
     truncated: bool  # complex dimension exceeded dim_cap
 
     @property
+    def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return self._views()[0]
+
+    @property
+    def face_values(self) -> tuple[tuple[float, ...], ...]:
+        return self._views()[1]
+
+    @property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
-        """Every simplex in (value, dim, lex) order, as is ``values``; built on each read."""
+        """Every simplex in (value, dim, lex) order, as is ``values``."""
         return tuple(s for _, s in self._flat())
 
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self._flat())
 
+    def _views(self):
+        gens = _Generators(self.generators)
+        levels = [keys[::-1] for keys in _faces(gens, self.top)]  # oldest first
+        faces = tuple(tuple(map(gens.simplex, keys)) for keys in levels)
+        return faces, tuple(tuple(map(gens.value, keys)) for keys in levels)
+
     def _flat(self):
         # merge breaks value ties by argument order: lower dimensions first
-        levels = (zip(values, level) for level, values in zip(self.faces, self.face_values))
+        levels = (zip(values, level) for level, values in zip(*self._views()))
         return heapq.merge(*levels, key=itemgetter(0))
 
     @classmethod
@@ -85,7 +108,7 @@ class Filtration:
         cap = resolve_dim_cap(dim_cap)
         _check_monotone(values)
         top = max(map(len, values), default=0) - 1
-        return cls(*_faces(values.items(), top), cap, complex.dim > cap)
+        return cls(tuple(values.items()), top, cap, complex.dim > cap)
 
     def validate(self) -> None:
         _check_monotone(dict(zip(self.simplices, self.values)))
@@ -104,19 +127,104 @@ def _check_monotone(value_of: dict[tuple[int, ...], float]) -> None:
                 )
 
 
-def _faces(valued: Iterable[tuple[tuple[int, ...], float]], top: int):
-    """Faces of dimension 0..top of the given simplices: per dimension, the
-    faces in (value, lex) order and their values, each face at the smallest
-    value of a given simplex containing it."""
-    value_of: list[dict[tuple[int, ...], float]] = [{} for _ in range(top + 1)]
-    for s, value in sorted(valued, key=itemgetter(1)):  # so the first value seen is the min
-        for size in range(1, min(len(s), top + 1) + 1):
-            for face in combinations(s, size):
-                value_of[size - 1].setdefault(face, value)
-    # a stable sort by value of the lex order: (value, lex)
-    faces = [sorted(sorted(level), key=level.__getitem__) for level in value_of]
-    values = (tuple(map(level.__getitem__, order)) for level, order in zip(value_of, faces))
-    return tuple(map(tuple, faces)), tuple(values)
+class _Generators:
+    """A filtration's generators as bitmasks, indexed for (co)face lookup.
+
+    A simplex is a vertex bitmask with vertex 0 in the highest bit, so int
+    order is reverse-lex order.  Generator g, in value order, is bit g of
+    a bond set, and ``inc`` maps each vertex bit to the bond set of the
+    generators containing it, so the generators containing sigma are the
+    AND of its vertices' rows.  The key of a simplex is (rank of its value
+    counted from the top) << n | mask: a larger key is an older simplex in
+    (value, lex) order, so the kernel's low, the largest key, is the
+    oldest coface.
+    """
+
+    def __init__(self, valued: Iterable[tuple[tuple[int, ...], float]]):
+        valued = sorted(valued, key=itemgetter(1))
+        self.n = n = max((v + 1 for s, _ in valued for v in s), default=0)
+        self.vertices = (1 << n) - 1
+        self.values = sorted({value for _, value in valued}, reverse=True)  # by rank
+        rank = {value: r for r, value in enumerate(self.values)}
+        self.bits = [tuple(1 << (n - 1 - v) for v in s) for s, _ in valued]
+        self.masks = [sum(bits) for bits in self.bits]
+        self.shifts = [rank[value] << n for _, value in valued]
+        self.all = (1 << len(valued)) - 1
+        self.inc: dict[int, int] = {}
+        self.exact: dict[int, int] = {}  # mask -> the generators equal to it
+        for g, (bits, mask) in enumerate(zip(self.bits, self.masks)):
+            for v in bits:
+                self.inc[v] = self.inc.get(v, 0) | 1 << g
+            self.exact[mask] = self.exact.get(mask, 0) | 1 << g
+
+    def value(self, key: int) -> float:
+        return self.values[key >> self.n]
+
+    def simplex(self, key: int) -> tuple[int, ...]:
+        return tuple(sorted(self.n - 1 - p for p in members(key & self.vertices)))
+
+    def column(self, key: int):
+        """sigma's coboundary column as the kernel's (low, rows) pair.
+
+        The low, sigma's oldest coface, costs a few ANDs: the lowest-valued
+        generators that contain sigma and have an extra vertex give its
+        value, and their smallest extra vertex its lex-first member.
+        """
+        sigma = key & self.vertices
+        bonds = self._containing(sigma)
+        if not bonds:
+            return -1, None
+        shifts, masks = self.shifts, self.masks
+        shift, extra = shifts[(bonds & -bonds).bit_length() - 1], 0
+        while bonds:
+            b = bonds & -bonds
+            g = b.bit_length() - 1
+            if shifts[g] != shift:
+                break
+            extra |= masks[g]
+            bonds ^= b
+        low = shift | sigma | 1 << ((extra & ~sigma).bit_length() - 1)
+        return low, partial(self.cofaces, sigma)
+
+    def cofaces(self, sigma: int) -> list[int]:
+        """Keys of sigma's cofaces: the generators strictly containing sigma,
+        visited in value order, each add the cofaces no older one has, at
+        its own value."""
+        keys, seen, bonds = [], sigma, self._containing(sigma)
+        while bonds:
+            b = bonds & -bonds
+            g = b.bit_length() - 1
+            extra = self.masks[g] & ~seen
+            seen |= extra
+            base = self.shifts[g] | sigma
+            while extra:
+                v = extra & -extra
+                keys.append(base | v)
+                extra ^= v
+            bonds ^= b
+        return keys
+
+    def _containing(self, sigma: int) -> int:
+        """The bond set of the generators that strictly contain sigma."""
+        bonds, inc, rest = self.all, self.inc, sigma
+        while rest:
+            v = rest & -rest
+            bonds &= inc[v]
+            rest ^= v
+        return bonds & ~self.exact.get(sigma, 0)
+
+
+def _faces(gens: _Generators, top: int) -> Iterator[list[int]]:
+    """Keys of the faces of dimension 0..top of the generators, ascending
+    (youngest first), each face at the smallest value of a generator
+    containing it; one dimension at a time, so one is held at once."""
+    for size in range(1, top + 2):
+        level: dict[int, int] = {}
+        # largest value first, so a smaller value overwrites: each face at its min
+        for bits, shift in zip(reversed(gens.bits), reversed(gens.shifts)):
+            if len(bits) >= size:
+                level.update(zip(map(sum, combinations(bits, size)), repeat(shift)))
+        yield sorted(map(or_, level, level.values()))
 
 
 @dataclass(frozen=True)
@@ -140,14 +248,14 @@ def betti(
     """Betti numbers over GF(2) up to max_dim.
 
     The default max_dim is the complex dimension, or cap - 1 when the
-    complex exceeds the dim cap: faces are enumerated up to the cap only,
+    complex exceeds the dim cap: cofaces are generated up to the cap only,
     so that is the highest dimension whose Betti number they determine;
     callers tell such a cut vector by its length, at most dim.  An
     explicit max_dim at or above the cap of such a complex raises
     ``DimCapError``.
 
     beta_d counts the infinite d-bars of ``persistence`` over the complex
-    with every face at one value, its faces up to dimension max_dim + 1.
+    with every face at one value, its columns of dimension 0..max_dim.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
@@ -159,8 +267,8 @@ def betti(
             f"complex dimension {k.dim} exceeds dim_cap {cap}; "
             f"homology above dimension {cap - 1} unavailable"
         )
-    valued = ((s, 0.0) for s in k.maximal_simplices)
-    bars = persistence(Filtration(*_faces(valued, min(max_dim + 1, cap)), cap, k.dim > cap))
+    valued = tuple((s, 0.0) for s in k.maximal_simplices)
+    bars = persistence(Filtration(valued, max_dim, cap, k.dim > cap))
     return tuple(sum(math.isinf(e) for _, e in bars.in_dim(d)) for d in range(max_dim + 1))
 
 
@@ -171,7 +279,7 @@ def euler_characteristic_ok(k: SimplicialComplex, dim_cap: int | None = None) ->
         raise DimCapError(f"complex dimension {k.dim} exceeds dim_cap {cap}")
     if k.dim < 0:
         return True
-    faces, _ = _faces(((s, 0.0) for s in k.maximal_simplices), k.dim)
+    faces = _faces(_Generators((s, 0.0) for s in k.maximal_simplices), k.dim)
     chi_f = sum((-1) ** d * len(level) for d, level in enumerate(faces))
     b = betti(k, k.dim, dim_cap=cap)
     chi_b = sum((-1) ** d * bd for d, bd in enumerate(b))
@@ -183,12 +291,12 @@ def frequency_filtration(
 ) -> Filtration:
     """Filter the level-i complex by bond frequency: frequent patterns first.
 
-    Built from the level-i bonds alone: a bond enters at c_max - count and
-    ``_faces`` gives each face, up to the dim cap, the min over the bonds
-    containing it, so no face enters after a coface and no ``validate()``
-    is needed.  Level-(i-1) bonds bound by no level-i bond enter at 0 as
-    isolated vertices.  ``truncated`` means the widest bond has more than
-    cap + 1 constituents.
+    Built from the level-i bonds alone: a bond is a generator at c_max -
+    count, so each face, up to the dim cap, enters at the min over the
+    bonds containing it, no face enters after a coface and no
+    ``validate()`` is needed.  Level-(i-1) bonds bound by no level-i bond
+    enter at 0 as isolated vertices.  ``truncated`` means the widest bond
+    has more than cap + 1 constituents.
     """
     if not 1 <= i <= h.k:
         raise LevelRangeError(f"level {i} out of range 1..{h.k}")
@@ -200,7 +308,7 @@ def frequency_filtration(
         covered = {c for b in bonds for c in b.constituents}
         valued.extend(((b.id,), 0.0) for b in h.level(i - 1) if b.id not in covered)
     top = max(len(b.constituents) for b in bonds) - 1
-    return Filtration(*_faces(valued, min(top, cap)), cap, top > cap)
+    return Filtration(tuple(valued), min(top, cap), cap, top > cap)
 
 
 def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
@@ -208,37 +316,36 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
 
     Each coboundary operator delta_d is reduced on its own, from dimension
     0 up (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021):
-    columns are the d-simplices and rows the (d+1)-simplices, both in
-    reverse order, so a column's low is its first coface in order and the
-    pairs are those of the boundary reduction.  A pair (sigma, tau) is the
+    columns are the d-simplices, youngest first, and rows their cofaces,
+    keyed so that a column's low is its oldest coface and the pairs are
+    those of the boundary reduction.  Cofaces are generated from the
+    generators, never enumerated: the kernel gets each column's low for a
+    few ANDs and builds the column only when that low is already a pivot,
+    so an apparent pair costs no column.  A pair (sigma, tau) is the
     interval (dim sigma, value sigma, value tau).  Clearing runs upward: a
-    (d+1)-simplex that is already a pivot of delta_d gets an empty column
-    in delta_{d+1}; a simplex neither paired nor such a pivot is an
-    infinite bar.
+    (d+1)-simplex that is already a pivot of delta_d gets no column in
+    delta_{d+1}; a simplex neither paired nor such a pivot is an infinite
+    bar.
 
-    Zero-length intervals are dropped unless ``keep_zero``.  A truncated
-    filtration (complex dimension above dim_cap) holds simplices only up
-    to dimension dim_cap, so every interval of dimension dim_cap and above
+    Zero-length intervals are dropped unless ``keep_zero``.  On a
+    truncated filtration (complex dimension above dim_cap) the columns
+    stop below the cap, so every interval of dimension dim_cap and above
     is dropped from its barcode.
     """
-    faces, values = f.faces, f.face_values
+    gens = _Generators(f.generators)
+    value = gens.value
+    top = min(f.top, f.dim_cap - 1) if f.truncated else f.top
     intervals: list[tuple[int, float, float]] = []
-    cleared: set[int] = set()  # pivots of delta_{d-1}, as reversed positions in faces[d]
-    for d in range(min(len(faces), f.dim_cap) if f.truncated else len(faces)):
-        rows = faces[d + 1] if d + 1 < len(faces) else ()
-        cofaces: dict[tuple[int, ...], list[int]] = {s: [] for s in faces[d]}
-        for row, t in enumerate(reversed(rows)):
-            for face in combinations(t, d + 1):
-                cofaces[face].append(row)
-        columns = (() if k in cleared else cofaces[s] for k, s in enumerate(reversed(faces[d])))
-        lows = _gf2.reduce_lows(columns)
-        for k, (low, birth) in enumerate(zip(lows, reversed(values[d]))):
-            if low >= 0:
-                death = values[d + 1][-1 - low]
-                if keep_zero or death > birth:
-                    intervals.append((d, birth, death))
-            elif k not in cleared:
+    cleared: set[int] = set()  # keys of the pivots of delta_{d-1}
+    for d, keys in enumerate(_faces(gens, top)):
+        live = [key for key in keys if key not in cleared]
+        lows = _gf2.reduce_lows(map(gens.column, live))
+        for key, low in zip(live, lows):
+            birth = value(key)
+            if low < 0:
                 intervals.append((d, birth, math.inf))
+            elif keep_zero or value(low) > birth:
+                intervals.append((d, birth, value(low)))
         cleared = set(lows)
     intervals.sort()
     return Barcode(tuple(intervals))

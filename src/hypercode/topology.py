@@ -192,10 +192,16 @@ def max_cliques(adjacency: Sequence[int], budget: int) -> Iterator[int]:
                     raise CliqueBudgetError(f"clique enumeration exceeded budget {budget}")
                 yield clique
             continue
-        pivot = max(
-            members(candidates | excluded),
-            key=lambda u: (adjacency[u] & candidates).bit_count(),
-        )
+        # any pivot in P | X gives the same cliques; take the one with the
+        # most candidate neighbours, up to the first that meets its bound
+        # (every candidate for one in X, every other candidate for one in P)
+        size, best = candidates.bit_count(), -1
+        for u in members(candidates | excluded):
+            count = (adjacency[u] & candidates).bit_count()
+            if count > best:
+                pivot, best = u, count
+                if count == size - (candidates >> u & 1):
+                    break
         for v in members(candidates & ~adjacency[pivot]):
             stack.append((clique | 1 << v, candidates & adjacency[v], excluded & adjacency[v]))
             candidates ^= 1 << v

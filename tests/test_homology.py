@@ -228,6 +228,44 @@ def test_infinite_bars_match_betti(patterns, cap):
 
 
 @st.composite
+def _recordings(draw):
+    """Each of a few disjoint blocks of neurons, then bins that are unions
+    of blocks, so exact covers exist and bonds reach the higher levels,
+    with counts that tie; now and then an arbitrary bin."""
+    neurons = draw(st.permutations(range(7)))
+    cuts = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))
+    blocks = [set(neurons[a:b]) for a, b in zip([0, *cuts], [*cuts, 7])]
+    unions = st.lists(st.sampled_from(blocks), min_size=1, max_size=4).map(
+        lambda parts: set().union(*parts)
+    )
+    arbitrary = st.sets(st.integers(0, 6), max_size=5)
+    return blocks + draw(st.lists(st.one_of(unions, unions, arbitrary), max_size=14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _recordings(),
+    st.sampled_from(["exact-cover", "subset-realization"]),
+    st.sampled_from([4, 3, 2, 1]),
+    st.sampled_from([1, 2, 3, 5]),
+    st.booleans(),
+)
+def test_persistence_every_level_matches_dense_oracle(bins, mode, max_level, cap, keep_zero):
+    # cofaces generated from the bonds must pair as the dense reduction of
+    # the listed faces does, at every level, below the cap when truncated
+    log = OccurrenceLog(7, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+    hs = build_hyperstructure(log, BuildConfig(max_level=max_level, decomposition=mode))
+    for i in range(1, hs.k + 1):
+        f = frequency_filtration(hs, i, dim_cap=cap)
+        expected = [
+            (d, b, e)
+            for d, b, e in persistence_naive(f.simplices, f.values)
+            if (d < cap or not f.truncated) and (keep_zero or e > b)
+        ]
+        assert list(persistence(f, keep_zero=keep_zero).intervals) == expected
+
+
+@st.composite
 def _flag_filtrations(draw):
     """(complex, values) of a random flag complex up to dimension 3, values distinct.
 

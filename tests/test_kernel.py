@@ -6,8 +6,13 @@ from hypercode import _gf2
 from oracles import gf2_lows_dense, gf2_rank_dense
 
 
+def _pairs(columns):
+    """Row lists as the kernel's (low, rows) columns."""
+    return [(max(rows, default=-1), lambda rows=rows: rows) for rows in columns]
+
+
 def _rank(columns):
-    return sum(1 for low in _gf2.reduce_lows(columns) if low >= 0)
+    return sum(1 for low in _gf2.reduce_lows(_pairs(columns)) if low >= 0)
 
 
 def _dense(columns, n_rows):
@@ -50,9 +55,57 @@ def _columns(draw):
 def test_reduce_lows_matches_dense_oracle(case, generators):
     n_rows, columns = case
     expected = gf2_lows_dense(columns, n_rows)
+    pairs = _pairs(columns)
     if generators:
-        columns = ((r for r in rows) for rows in columns)
-    assert _gf2.reduce_lows(columns) == expected
+        pairs = ((low, lambda rows=rows: (r for r in rows())) for low, rows in pairs)
+    assert _gf2.reduce_lows(pairs) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_columns(), st.data())
+def test_sparse_keys_map_to_oracle_lows(case, data):
+    # keys need not be dense indices: any strictly increasing map of the
+    # rows, here into ints >= 2**40, must map the lows the same way
+    n_rows, columns = case
+    gaps = data.draw(st.lists(st.integers(1, 2**70), min_size=n_rows, max_size=n_rows))
+    key, total = [], 2**40
+    for gap in gaps:
+        total += gap
+        key.append(total)
+    mapped = [[key[r] for r in rows] for rows in columns]
+    expected = [key[low] if low >= 0 else -1 for low in gf2_lows_dense(columns, n_rows)]
+    assert _gf2.reduce_lows(_pairs(mapped)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_columns())
+def test_rows_built_only_on_collision(case):
+    # a column is built only when its low is already a pivot's, and any
+    # column at most once (a stored pivot at its first XOR)
+    n_rows, columns = case
+    current = [-1]
+    calls: list[tuple[int, int]] = []  # (column built, column being reduced)
+
+    def stream():
+        for j, rows in enumerate(columns):
+            current[0] = j
+
+            def build(j=j, rows=rows):
+                calls.append((j, current[0]))
+                return rows
+
+            yield max(rows, default=-1), build
+
+    lows = _gf2.reduce_lows(stream())
+    assert lows == gf2_lows_dense(columns, n_rows)
+    built = [j for j, _ in calls]
+    assert len(built) == len(set(built))
+    pivots: set[int] = set()
+    for j, rows in enumerate(columns):
+        if max(rows, default=-1) not in pivots:
+            assert (j, j) not in calls
+        if lows[j] >= 0:
+            pivots.add(lows[j])
 
 
 def test_empty_matrix():
@@ -63,5 +116,5 @@ def test_empty_matrix():
 def test_known_small_case():
     # hollow triangle boundary: rank 2, third column zeroed
     columns = [[0, 1], [1, 2], [0, 2]]
-    lows = _gf2.reduce_lows(columns)
+    lows = _gf2.reduce_lows(_pairs(columns))
     assert lows[0] == 1 and lows[1] == 2 and lows[2] == -1
