@@ -23,12 +23,17 @@ from hypercode.topology import DEFAULT_CLIQUE_BUDGET, NerveConfig, gluing_graph,
 
 
 def _domain_errors(fn):
+    """End a domain error, or running out of memory, as one ``error:`` line and exit 1."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except HypercodeError as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except MemoryError:
+            click.echo("error: out of memory", err=True)
             sys.exit(1)
 
     return wrapper

@@ -36,9 +36,6 @@ class Pattern:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
     @property
     def is_empty(self) -> bool:
         return not self.members

@@ -21,8 +21,8 @@ class BondLookupError(HypercodeError):
     """Unknown bond id or level in a hyperstructure query."""
 
 
-class LevelRangeError(HypercodeError):
-    """Level index outside the populated range."""
+class LevelRangeError(BondLookupError):
+    """Level index outside the populated range 1..k of a hyperstructure."""
 
 
 class CompositionError(HypercodeError):

@@ -24,8 +24,8 @@ from typing import Iterable, Iterator
 
 from hypercode import _gf2
 from hypercode.codes import SimplicialComplex, members
-from hypercode.errors import ConfigError, DimCapError, FiltrationError, LevelRangeError
-from hypercode.hyperstructure import Hyperstructure
+from hypercode.errors import ConfigError, DimCapError, FiltrationError
+from hypercode.hyperstructure import Hyperstructure, level_generators
 
 DEFAULT_DIM_CAP = 5
 
@@ -56,27 +56,19 @@ class Filtration:
     """A face-monotone value per simplex, stored as its generators.
 
     Every face of a generator, up to dimension ``top``, enters at the
-    smallest value of a generator containing it.  ``faces[d]`` lists the
-    d-simplices in (value, lex) order and ``face_values[d]`` their values;
-    these and the flat ``simplices`` and ``values`` are built on each read.
-    ``persistence`` reduces the columns of dimensions 0..top (below
-    ``dim_cap`` when ``truncated``), their cofaces generated one dimension
-    up.  ``from_values`` checks a caller's values with ``validate()`` and
-    reads ``complex`` only to set ``truncated``.
+    smallest value of a generator containing it.  ``simplices`` and
+    ``values`` list every face in (value, dim, lex) order, enumerated from
+    the generators on each read.  ``persistence`` reduces the columns of
+    dimensions 0..top (below ``dim_cap`` when ``truncated``), their
+    cofaces generated one dimension up.  ``from_values`` checks a caller's
+    values with ``validate()`` and reads ``complex`` only to set
+    ``truncated``.
     """
 
     generators: tuple[tuple[tuple[int, ...], float], ...]
     top: int
     dim_cap: int
     truncated: bool  # complex dimension exceeded dim_cap
-
-    @property
-    def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return self._views()[0]
-
-    @property
-    def face_values(self) -> tuple[tuple[float, ...], ...]:
-        return self._views()[1]
 
     @property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
@@ -87,16 +79,14 @@ class Filtration:
     def values(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self._flat())
 
-    def _views(self):
-        gens = _Generators(self.generators)
-        levels = [keys[::-1] for keys in _faces(gens, self.top)]  # oldest first
-        faces = tuple(tuple(map(gens.simplex, keys)) for keys in levels)
-        return faces, tuple(tuple(map(gens.value, keys)) for keys in levels)
-
     def _flat(self):
+        gens = _Generators(self.generators)
+        levels = (keys[::-1] for keys in _faces(gens, self.top))  # oldest first
         # merge breaks value ties by argument order: lower dimensions first
-        levels = (zip(values, level) for level, values in zip(*self._views()))
-        return heapq.merge(*levels, key=itemgetter(0))
+        return heapq.merge(
+            *(zip(map(gens.value, keys), map(gens.simplex, keys)) for keys in levels),
+            key=itemgetter(0),
+        )
 
     @classmethod
     def from_values(
@@ -294,21 +284,17 @@ def frequency_filtration(
     Built from the level-i bonds alone: a bond is a generator at c_max -
     count, so each face, up to the dim cap, enters at the min over the
     bonds containing it, no face enters after a coface and no
-    ``validate()`` is needed.  Level-(i-1) bonds bound by no level-i bond
-    enter at 0 as isolated vertices.  ``truncated`` means the widest bond
-    has more than cap + 1 constituents.
+    ``validate()`` is needed.  The generators are ``level_generators``, so
+    a level-(i-1) bond bound by no level-i bond enters at 0 as an isolated
+    vertex.  ``truncated`` means the widest bond has more than cap + 1
+    constituents.
     """
-    if not 1 <= i <= h.k:
-        raise LevelRangeError(f"level {i} out of range 1..{h.k}")
+    generators = level_generators(h, i)
     cap = resolve_dim_cap(dim_cap)
-    bonds = h.level(i)
-    c_max = max(b.count for b in bonds)
-    valued = [(b.constituents, float(c_max - b.count)) for b in bonds]
-    if i >= 2:
-        covered = {c for b in bonds for c in b.constituents}
-        valued.extend(((b.id,), 0.0) for b in h.level(i - 1) if b.id not in covered)
-    top = max(len(b.constituents) for b in bonds) - 1
-    return Filtration(tuple(valued), min(top, cap), cap, top > cap)
+    c_max = max(count for _, count in generators)
+    top = max(len(s) for s, _ in generators) - 1
+    valued = tuple((s, float(c_max - count)) for s, count in generators)
+    return Filtration(valued, min(top, cap), cap, top > cap)
 
 
 def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from hypercode.codes import OccurrenceLog, Pattern, _json_int, bitmask
-from hypercode.errors import BondLookupError, ConfigError, ParseError
+from hypercode.errors import BondLookupError, ConfigError, LevelRangeError, ParseError
 
 DECOMPOSITION_MODES = ("exact-cover", "subset-realization")
 
@@ -82,9 +82,16 @@ class Hyperstructure:
         return len(self.levels)
 
     def level(self, i: int) -> tuple[Bond, ...]:
+        """The level-i bonds; raises ``LevelRangeError`` unless 1 <= i <= k.
+
+        Every query by level goes through this one range check."""
         if not 1 <= i <= self.k:
-            raise BondLookupError(f"level {i} out of range 1..{self.k}")
+            raise LevelRangeError(f"level {i} out of range 1..{self.k}")
         return self.levels[i - 1]
+
+    def width(self, i: int) -> int:
+        """How many level-i items there are: the neurons at level 0, else the bonds."""
+        return len(self.level(i)) if i else self.n
 
     def bond(self, level: int, bond_id: int) -> Bond:
         bonds = self.level(level)
@@ -242,7 +249,10 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
 
     A single chronological pass over the bins; deterministic given the log
     and the config.  After the pass, bonds below ``min_count`` are dropped
-    and higher bonds referencing them are dropped in cascade.
+    and the survivors renumbered per level.  Dropping by count alone
+    leaves no bond above a dropped one: a level-(l+1) bond records a bin
+    only where each of its constituents recorded it, so its count is at
+    most each constituent's count.
     """
     config = config or BuildConfig()
     config.validate()
@@ -261,7 +271,7 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
         if not active.is_empty:
             builder.process_bin(t, active, config.decomposition, config.keep_union_words)
 
-    # Prune by count, then cascade-drop orphans upward, reindexing per level.
+    # Prune by count, reindexing per level; an orphan would raise at remap[c].
     levels: list[tuple[Bond, ...]] = []
     remap: dict[int, int] = {}
     for lvl0, bonds in enumerate(builder.levels):
@@ -272,8 +282,6 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
             if len(bins) < config.min_count:
                 continue
             if level >= 2:
-                if any(c not in remap for c in constituents):
-                    continue
                 constituents = tuple(remap[c] for c in constituents)  # remap keeps order
             new_remap[bid] = len(survivors)
             survivors.append(
@@ -290,6 +298,24 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     while levels and not levels[-1]:
         levels.pop()
     return Hyperstructure(log.n, tuple(levels), config)
+
+
+def level_generators(h: Hyperstructure, i: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (simplex, count) pairs that generate the level-i complex.
+
+    Its vertices are the level-(i-1) items (neurons at i = 1).  Each
+    level-i bond is a simplex at its own count; each level-(i-1) bond that
+    no level-i bond binds is an isolated vertex, counted as often as the
+    most frequent level-i bond so that it enters a frequency filtration
+    first.
+    """
+    bonds = h.level(i)
+    generators = [(b.constituents, b.count) for b in bonds]
+    if i >= 2:
+        covered = {c for b in bonds for c in b.constituents}
+        c_max = max(b.count for b in bonds)
+        generators.extend(((b.id,), c_max) for b in h.level(i - 1) if b.id not in covered)
+    return generators
 
 
 def boundary(h: Hyperstructure, level: int, bond_id: int) -> frozenset[int]:

@@ -11,9 +11,9 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, Sequence
 
-from hypercode.codes import Pattern, SimplicialComplex, generated_complex, maximal_sets, members
+from hypercode.codes import SimplicialComplex, maximal_sets, members
 from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError, LevelRangeError
-from hypercode.hyperstructure import Hyperstructure, boundary, downset
+from hypercode.hyperstructure import Hyperstructure, boundary, downset, level_generators
 
 NERVE_RULES = ("pairwise", "connected")
 DEFAULT_CLIQUE_BUDGET = 10**6
@@ -85,13 +85,8 @@ class CompositeDescriptor:
     overlaps: tuple[tuple[int, ...], ...]
 
 
-def _check_level(h: Hyperstructure, i: int) -> None:
-    if not 1 <= i <= h.k:
-        raise LevelRangeError(f"level {i} out of range 1..{h.k}")
-
-
 def _check_stratum(h: Hyperstructure, i: int, j: int) -> None:
-    _check_level(h, i)
+    h.level(i)
     if not 0 <= j < i:
         raise LevelRangeError(f"gluing level {j} must satisfy 0 <= j < {i}")
 
@@ -99,30 +94,20 @@ def _check_stratum(h: Hyperstructure, i: int, j: int) -> None:
 def level_complex(h: Hyperstructure, i: int) -> SimplicialComplex:
     """The complex of level i: vertices one level down, simplices the bonds.
 
-    For i = 1 this is the classical code complex of the level-1 supports.
-    For i >= 2, level-(i-1) bonds not bound by any level-i bond appear as
-    isolated vertices.
+    Its maximal simplices are the inclusion-maximal ``level_generators``:
+    at level 1 the classical code complex of the level-1 supports; above
+    it the level-i bonds, with each level-(i-1) bond they leave unbound as
+    an isolated vertex.
     """
-    _check_level(h, i)
-    if i == 1:
-        return generated_complex(
-            [Pattern(b.constituents) for b in h.level(1)], h.n
-        )
-    below = h.level(i - 1)
-    constituent_sets = [set(b.constituents) for b in h.level(i)]
-    covered = set().union(*constituent_sets) if constituent_sets else set()
-    candidates = [tuple(sorted(s)) for s in constituent_sets]
-    candidates.extend((b.id,) for b in below if b.id not in covered)
+    generators = level_generators(h, i)
     return SimplicialComplex(
-        tuple(b.id for b in below), frozenset(maximal_sets(candidates))
+        tuple(range(h.width(i - 1))), frozenset(maximal_sets(s for s, _ in generators))
     )
 
 
 def delta_correspondence(h: Hyperstructure, i: int) -> Correspondence:
     """Tabulated boundary of every level-(i+1) bond."""
-    _check_level(h, i)
-    if i + 1 > h.k:
-        raise LevelRangeError(f"level {i + 1} out of range 1..{h.k}")
+    h.level(i)
     return Correspondence(
         from_level=i + 1,
         to_level=i,
@@ -134,7 +119,7 @@ def gluing_graph(h: Hyperstructure, i: int, j: int) -> GluingGraph:
     """Edge between two level-i bonds iff their level-j downsets intersect."""
     _check_stratum(h, i, j)
     # level-j downsets as bitmasks: one bit per level-j item, ORed up level by level
-    downsets = [1 << v for v in range(len(h.level(j)) if j else h.n)]
+    downsets = [1 << v for v in range(h.width(j))]
     for level in range(j + 1, i + 1):
         downsets = [reduce(or_, (downsets[c] for c in b.constituents), 0) for b in h.level(level)]
     adjacency = [0] * len(downsets)
@@ -240,7 +225,7 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
     cfg = cfg or NerveConfig()
     cfg.validate()
     for i in sorted(cfg.include_levels or ()):
-        _check_level(h, i)
+        h.level(i)
     labels: list[tuple[int, int]] = []
     maximal: set[tuple[int, ...]] = set()
     for i in range(1, h.k + 1):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from hypercode.cli import cli
+from hypercode.hyperstructure import BuildConfig
 
 from conftest import TRIAD_CSV, matrix_csv
 
@@ -72,6 +77,16 @@ def test_compare_command(runner, tmp_path):
     r = runner.invoke(cli, ["compare", str(hs), str(hs), "--format", "table"])
     assert r.exit_code == 0
     assert "bijective" in r.output
+
+
+def test_compare_with_nerve_table_to_file(runner, tmp_path):
+    _, hs = _pipeline(runner, tmp_path)
+    out = tmp_path / "report.txt"
+    r = runner.invoke(
+        cli, ["compare", str(hs), str(hs), "--with-nerve", "--format", "table", "-o", str(out)]
+    )
+    assert (r.exit_code, r.output) == (0, "")
+    assert out.read_text().splitlines()[-1] == "nerve betti: A=(4,0,0)  B=(4,0,0)"
 
 
 def test_synth_roundtrip(runner, tmp_path):
@@ -396,6 +411,69 @@ def test_build_log_not_integer_is_one_error_line(runner, tmp_path, obj):
     assert not out.exists()
 
 
+BAD_INPUT = {
+    "json-invalid": ("{", ["build"]),
+    "log-key-missing": ('{"bins": []}', ["build"]),
+    "log-bins-not-increasing": ('{"n": 2, "bins": [[1, [0]], [0, [1]]]}', ["build"]),
+    "log-neuron-out-of-range": ('{"n": 2, "bins": [[0, [0, 2]]]}', ["build"]),
+    "log-neuron-negative": ('{"n": 2, "bins": [[0, [-1]]]}', ["build"]),
+    "events-without-dt": ("0,0.1\n", ["ingest", "--format", "events"]),
+    "event-row-bad": ("0,abc\n", ["ingest", "--format", "events", "--dt", "0.5"]),
+    "event-row-short": ("0\n", ["ingest", "--format", "events", "--dt", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("text, command", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_is_one_error_line(runner, tmp_path, text, command):
+    src = tmp_path / "input"
+    src.write_text(text)
+    out = tmp_path / "out.json"
+    r = runner.invoke(cli, [*command, str(src), "-o", str(out)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists()
+
+
+# each pair of the 60 level-1 bonds {0, b + 1} meets at neuron 0, so the
+# nerve is one 59-simplex: its faces below the dim cap need gigabytes
+STAR_ARTIFACT = {
+    "n": 61,
+    "config": BuildConfig().to_json_obj(),
+    "levels": [
+        [{"id": b, "constituents": [0, b + 1], "count": 1, "bins": [b]} for b in range(60)]
+    ],
+}
+LIMITED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+    "from hypercode.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command", [["nerve", "--betti"], ["compare", "--with-nerve"]], ids=["nerve", "compare"]
+)
+def test_out_of_memory_is_one_error_line(tmp_path, command):
+    hs = tmp_path / "hs.json"
+    hs.write_text(json.dumps(STAR_ARTIFACT))
+    name, *flags = command
+    paths = [str(hs)] * (2 if name == "compare" else 1)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, name, *paths, *flags],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == "error: out of memory\n"
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize(
     "events, dt",
     [
@@ -428,6 +506,9 @@ SYNTH_BAD = {
     "member-float": {"n": 3, "patterns": {"a": [0.5, 1]}, "schedule": [[0, ["a"]]]},
     "member-string": {"n": 3, "patterns": {"a": ["0", 1]}, "schedule": [[0, ["a"]]]},
     "grid-too-large": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[10**12, ["a"]]]},
+    "n-negative": {"n": -1, "patterns": {}, "schedule": []},
+    "pattern-past-n": {"n": 3, "patterns": {"a": [0, 3]}, "schedule": [[0, ["a"]]]},
+    "schedule-missing": {"n": 3, "patterns": {"a": [0, 1]}},
 }
 
 

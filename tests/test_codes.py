@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hypercode.codes import (
+    Code,
     Codeword,
     OccurrenceLog,
     Pattern,
@@ -76,6 +77,32 @@ def test_parse_rejects_non_binary():
 def test_parse_rejects_ragged():
     with pytest.raises(DimensionError):
         parse_spike_matrix("1,0\n1")
+
+
+@pytest.mark.parametrize(
+    "text, n, bins",
+    [("1,0\n\n0,1\n\n", 2, [(0, (0,)), (1, (1,))]), ("", 0, []), ("\n\n", 0, [])],
+    ids=["blank-lines", "empty", "only-blank-lines"],
+)
+def test_parse_skips_blank_lines(text, n, bins):
+    log = OccurrenceLog(n, tuple((i, Pattern(members)) for i, members in bins))
+    assert parse_spike_matrix(text) == (n, log)
+
+
+REJECTED = {
+    "pattern-unsorted": (lambda: Pattern((1, 0)), DimensionError),
+    "pattern-negative": (lambda: Pattern((-1, 0)), DimensionError),
+    "codeword-not-binary": (lambda: Codeword((0, 2)), ParseError),
+    "code-word-length": (lambda: Code(frozenset({Codeword((0, 1))}), 3), DimensionError),
+    "indicator-word-past-n": (lambda: indicator_word(Pattern((0, 3)), 3), DimensionError),
+    "generated-complex-past-n": (lambda: generated_complex([Pattern((0, 3))], 3), DimensionError),
+}
+
+
+@pytest.mark.parametrize("make, error", REJECTED.values(), ids=REJECTED.keys())
+def test_malformed_value_rejected(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_parse_header_flag():

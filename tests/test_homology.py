@@ -115,6 +115,12 @@ def test_euler_characteristic(maximal_sets):
     assert euler_characteristic_ok(_complex(maximal_sets, 7))
 
 
+def test_euler_characteristic_empty_and_above_cap():
+    assert euler_characteristic_ok(SimplicialComplex((), frozenset()))
+    with pytest.raises(DimCapError):
+        euler_characteristic_ok(_complex([tuple(range(7))], 7), dim_cap=5)
+
+
 class TestFrequencyFiltration:
     def test_uniform_counts_single_step(self, triad):
         f = frequency_filtration(triad, 1)

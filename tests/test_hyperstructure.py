@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -133,6 +135,20 @@ class TestBuild:
         assert {len(b.constituents) for b in double.level(2)} == {3}
 
 
+QUERY_ERRORS = {
+    "min-count-0": (lambda hs: BuildConfig(min_count=0).validate(), ConfigError),
+    "unknown-mode": (lambda hs: realize_level1(Pattern((0,)), [], "nope"), ConfigError),
+    "boundary-level-1": (lambda hs: boundary(hs, 1, 0), BondLookupError),
+    "downset-target-not-below": (lambda hs: downset(hs, 2, 0, 2), BondLookupError),
+}
+
+
+@pytest.mark.parametrize("call, error", QUERY_ERRORS.values(), ids=QUERY_ERRORS.keys())
+def test_bad_config_or_query_raises(triad, call, error):
+    with pytest.raises(error):
+        call(triad)
+
+
 class TestQueries:
     def test_boundary_is_constituents(self, triad):
         ab = _bond_by_form(triad, 2, "{{0,1,2},{3,4,5}}")
@@ -224,6 +240,38 @@ def test_build_matches_naive_pass(bins, mode, max_level):
     while naive and not naive[-1]:
         naive.pop()
     assert [[(b.constituents, b.count) for b in level] for level in hs.levels] == naive
+
+
+@given(
+    st.one_of(bins_strategy, assembly_bins_strategy),
+    st.sampled_from(["exact-cover", "subset-realization"]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_min_count_prunes_by_count_alone(bins, mode, two_pass, keep_union, max_level, min_count):
+    # a bond records a bin only where each of its constituents recorded it,
+    # so no bond outlives a constituent dropped for its count
+    config = BuildConfig(max_level, mode, 1, two_pass, keep_union)
+    full = build_hyperstructure(_log(bins, 7), config)
+    for lvl in range(2, full.k + 1):
+        for b in full.level(lvl):
+            for c in b.constituents:
+                assert set(b.bins) <= set(full.bond(lvl - 1, c).bins)
+    pruned = build_hyperstructure(_log(bins, 7), replace(config, min_count=min_count))
+
+    def forms(hs, keep):
+        levels = [
+            [(canonical_form(hs, lvl, b.id), b.count, b.bins) for b in hs.level(lvl) if keep(b)]
+            for lvl in range(1, hs.k + 1)
+        ]
+        while levels and not levels[-1]:
+            levels.pop()
+        return levels
+
+    assert forms(pruned, lambda b: True) == forms(full, lambda b: b.count >= min_count)
 
 
 @given(bins_strategy)

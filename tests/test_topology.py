@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypercode.codes import OccurrenceLog, Pattern, bitmask, generated_complex, members
+from hypercode.codes import (
+    OccurrenceLog,
+    Pattern,
+    SimplicialComplex,
+    bitmask,
+    generated_complex,
+    members,
+)
 from hypercode.errors import (
     BondLookupError,
     CliqueBudgetError,
@@ -233,6 +241,14 @@ class TestNerve:
     def test_bad_rule(self, triad):
         with pytest.raises(ConfigError):
             nerve(triad, NerveConfig(rule="chain"))
+
+    def test_clique_budget_not_positive(self, triad):
+        with pytest.raises(ConfigError):
+            nerve(triad, NerveConfig(clique_budget=0))
+
+    def test_json_roundtrip(self, triad):
+        k = nerve(triad)
+        assert SimplicialComplex.from_json_obj(json.loads(json.dumps(k.to_json_obj()))) == k
 
     def test_clique_budget(self):
         bins = [{0, 1}, {2, 3}]
