@@ -17,7 +17,6 @@ from hypercode.compare import ComparisonReport, compare_levels
 from hypercode.homology import (
     Barcode,
     Filtration,
-    barcode_sequence,
     betti,
     frequency_filtration,
     persistence,
@@ -37,7 +36,6 @@ from hypercode.topology import (
     GluingGraph,
     NerveConfig,
     compose_bonds,
-    delta_correspondence,
     gluing_graph,
     level_complex,
     nerve,
@@ -62,7 +60,6 @@ __all__ = [
     "Pattern",
     "SimplicialComplex",
     "SynthSpec",
-    "barcode_sequence",
     "betti",
     "bin_event_list",
     "boundary",
@@ -71,7 +68,6 @@ __all__ = [
     "code_of_log",
     "compare_levels",
     "compose_bonds",
-    "delta_correspondence",
     "downset",
     "frequency_filtration",
     "generated_complex",

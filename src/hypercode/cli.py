@@ -23,13 +23,14 @@ from hypercode.topology import DEFAULT_CLIQUE_BUDGET, NerveConfig, gluing_graph,
 
 
 def _domain_errors(fn):
-    """End a domain error, or running out of memory, as one ``error:`` line and exit 1."""
+    """End a domain error, a path the OS refuses, or running out of memory,
+    as one ``error:`` line and exit 1."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except HypercodeError as exc:
+        except (HypercodeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         except MemoryError:
@@ -213,8 +214,8 @@ def persist(hs_path, level, dim_cap, keep_zero, output):
         f = homology.frequency_filtration(hs, i, dim_cap=dim_cap)
         if f.truncated:
             click.echo(
-                f"note: level {i}: complex dimension exceeds dim_cap {f.dim_cap}; "
-                f"intervals of dimension {f.dim_cap} and above dropped",
+                f"note: level {i}: complex dimension exceeds dim_cap {f.top}; "
+                f"intervals of dimension {f.top} and above dropped",
                 err=True,
             )
         seq.append((i, homology.persistence(f, keep_zero=keep_zero)))

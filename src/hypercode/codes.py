@@ -83,6 +83,8 @@ class OccurrenceLog:
     bins: tuple[tuple[int, Pattern], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise DimensionError(f"neuron count must be >= 0, got {self.n}")
         prev = -1
         for idx, active in self.bins:
             if idx <= prev:

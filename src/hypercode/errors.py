@@ -37,9 +37,5 @@ class DimCapError(HypercodeError):
     """Requested homology dimension exceeds the face-enumeration cap."""
 
 
-class FiltrationError(HypercodeError):
-    """Non-monotone or incomplete filtration."""
-
-
 class UniverseError(HypercodeError):
     """Two structures do not share the same neuron universe."""

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from hypercode import _gf2
 from hypercode.codes import SimplicialComplex, members
-from hypercode.errors import ConfigError, DimCapError, FiltrationError
+from hypercode.errors import ConfigError, DimCapError
 from hypercode.hyperstructure import Hyperstructure, level_generators
 
 DEFAULT_DIM_CAP = 5
@@ -56,19 +56,18 @@ class Filtration:
     """A face-monotone value per simplex, stored as its generators.
 
     Every face of a generator, up to dimension ``top``, enters at the
-    smallest value of a generator containing it.  ``simplices`` and
-    ``values`` list every face in (value, dim, lex) order, enumerated from
-    the generators on each read.  ``persistence`` reduces the columns of
-    dimensions 0..top (below ``dim_cap`` when ``truncated``), their
-    cofaces generated one dimension up.  ``from_values`` checks a caller's
-    values with ``validate()`` and reads ``complex`` only to set
-    ``truncated``.
+    smallest value of a generator containing it, so no face enters after
+    a coface.  ``simplices`` and ``values`` list those faces in (value,
+    dim, lex) order, enumerated from the generators on each read.
+    ``persistence`` reduces the columns of dimensions 0..top, their
+    cofaces generated one dimension up; on a ``truncated`` filtration,
+    whose ``top`` is a dim cap below its generators' dimension, it stops
+    below the cap.
     """
 
     generators: tuple[tuple[tuple[int, ...], float], ...]
     top: int
-    dim_cap: int
-    truncated: bool  # complex dimension exceeded dim_cap
+    truncated: bool  # top is a dim cap that some generator exceeds
 
     @property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
@@ -87,34 +86,6 @@ class Filtration:
             *(zip(map(gens.value, keys), map(gens.simplex, keys)) for keys in levels),
             key=itemgetter(0),
         )
-
-    @classmethod
-    def from_values(
-        cls,
-        complex: SimplicialComplex,
-        values: dict[tuple[int, ...], float],
-        dim_cap: int | None = None,
-    ) -> "Filtration":
-        cap = resolve_dim_cap(dim_cap)
-        _check_monotone(values)
-        top = max(map(len, values), default=0) - 1
-        return cls(tuple(values.items()), top, cap, complex.dim > cap)
-
-    def validate(self) -> None:
-        _check_monotone(dict(zip(self.simplices, self.values)))
-
-
-def _check_monotone(value_of: dict[tuple[int, ...], float]) -> None:
-    for s, v in value_of.items():
-        if len(s) < 2:
-            continue
-        for face in combinations(s, len(s) - 1):
-            if face not in value_of:
-                raise FiltrationError(f"face {face} of {s} missing from filtration")
-            if value_of[face] > v:
-                raise FiltrationError(
-                    f"face {face} (value {value_of[face]}) enters after {s} (value {v})"
-                )
 
 
 class _Generators:
@@ -258,7 +229,7 @@ def betti(
             f"homology above dimension {cap - 1} unavailable"
         )
     valued = tuple((s, 0.0) for s in k.maximal_simplices)
-    bars = persistence(Filtration(valued, max_dim, cap, k.dim > cap))
+    bars = persistence(Filtration(valued, max_dim, False))
     return tuple(sum(math.isinf(e) for _, e in bars.in_dim(d)) for d in range(max_dim + 1))
 
 
@@ -283,18 +254,17 @@ def frequency_filtration(
 
     Built from the level-i bonds alone: a bond is a generator at c_max -
     count, so each face, up to the dim cap, enters at the min over the
-    bonds containing it, no face enters after a coface and no
-    ``validate()`` is needed.  The generators are ``level_generators``, so
-    a level-(i-1) bond bound by no level-i bond enters at 0 as an isolated
+    bonds containing it.  The generators are ``level_generators``, so a
+    level-(i-1) bond bound by no level-i bond enters at 0 as an isolated
     vertex.  ``truncated`` means the widest bond has more than cap + 1
-    constituents.
+    constituents; then ``top`` is the cap.
     """
     generators = level_generators(h, i)
     cap = resolve_dim_cap(dim_cap)
     c_max = max(count for _, count in generators)
     top = max(len(s) for s, _ in generators) - 1
     valued = tuple((s, float(c_max - count)) for s, count in generators)
-    return Filtration(valued, min(top, cap), cap, top > cap)
+    return Filtration(valued, min(top, cap), top > cap)
 
 
 def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
@@ -314,16 +284,15 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     bar.
 
     Zero-length intervals are dropped unless ``keep_zero``.  On a
-    truncated filtration (complex dimension above dim_cap) the columns
-    stop below the cap, so every interval of dimension dim_cap and above
-    is dropped from its barcode.
+    truncated filtration, whose ``top`` is the dim cap, the columns stop
+    below it, so every interval of dimension cap and above is dropped from
+    its barcode.
     """
     gens = _Generators(f.generators)
     value = gens.value
-    top = min(f.top, f.dim_cap - 1) if f.truncated else f.top
     intervals: list[tuple[int, float, float]] = []
     cleared: set[int] = set()  # keys of the pivots of delta_{d-1}
-    for d, keys in enumerate(_faces(gens, top)):
+    for d, keys in enumerate(_faces(gens, f.top - f.truncated)):
         live = [key for key in keys if key not in cleared]
         lows = _gf2.reduce_lows(map(gens.column, live))
         for key, low in zip(live, lows):
@@ -335,16 +304,6 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
         cleared = set(lows)
     intervals.sort()
     return Barcode(tuple(intervals))
-
-
-def barcode_sequence(
-    h: Hyperstructure, dim_cap: int | None = None, keep_zero: bool = False
-) -> list[tuple[int, Barcode]]:
-    """One frequency-filtered barcode per populated level, bottom up."""
-    return [
-        (i, persistence(frequency_filtration(h, i, dim_cap), keep_zero=keep_zero))
-        for i in range(1, h.k + 1)
-    ]
 
 
 def barcodes_to_csv(sequence: list[tuple[int, Barcode]]) -> str:

@@ -123,6 +123,8 @@ class Hyperstructure:
         try:
             config = BuildConfig.from_json_obj(obj["config"])
             n = _json_int(obj["n"], "n")
+            if n < 0:
+                raise ParseError(f"n must be >= 0, got {n}")
             levels: list[tuple[Bond, ...]] = []
             for lvl, bonds in enumerate(obj["levels"], start=1):
                 if not bonds:

@@ -46,6 +46,11 @@ class SynthSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SynthSpec":
         try:
+            if not isinstance(obj["patterns"], dict):
+                raise ParseError(f"patterns must be an object, got {obj['patterns']!r}")
+            noise_rate = obj.get("noise_rate", 0.0)
+            if type(noise_rate) not in (int, float):
+                raise ParseError(f"noise_rate must be a number, got {noise_rate!r}")
             spec = cls(
                 n=_json_int(obj["n"], "n"),
                 patterns={
@@ -53,15 +58,21 @@ class SynthSpec:
                     for name, members in obj["patterns"].items()
                 },
                 schedule=tuple(
-                    (_json_int(b, "schedule bin"), tuple(names)) for b, names in obj["schedule"]
+                    (_json_int(b, "schedule bin"), _names(names)) for b, names in obj["schedule"]
                 ),
-                noise_rate=float(obj.get("noise_rate", 0.0)),
+                noise_rate=float(noise_rate),
                 seed=_json_int(obj.get("seed", 0), "seed"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed synth spec JSON: {exc}") from exc
         spec.validate()
         return spec
+
+
+def _names(names) -> tuple[str, ...]:
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ParseError(f"schedule pattern names must be a list of strings, got {names!r}")
+    return tuple(names)
 
 
 def synth_generate(spec: SynthSpec) -> list[list[int]]:

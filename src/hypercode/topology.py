@@ -13,19 +13,10 @@ from typing import Iterator, Sequence
 
 from hypercode.codes import SimplicialComplex, maximal_sets, members
 from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError, LevelRangeError
-from hypercode.hyperstructure import Hyperstructure, boundary, downset, level_generators
+from hypercode.hyperstructure import Hyperstructure, downset, level_generators
 
 NERVE_RULES = ("pairwise", "connected")
 DEFAULT_CLIQUE_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """The boundary map of one level step, tabulated as exportable data."""
-
-    from_level: int
-    to_level: int
-    map: dict[int, frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -46,9 +37,6 @@ class GluingGraph:
             for a in self.vertices
             for b in members(self.adjacency[a] >> (a + 1) << (a + 1))
         }
-
-    def neighbors(self, v: int) -> set[int]:
-        return set(members(self.adjacency[v]))
 
     def to_dot(self) -> str:
         lines = [f'graph gluing_{self.level_i}_{self.level_j} {{']
@@ -102,16 +90,6 @@ def level_complex(h: Hyperstructure, i: int) -> SimplicialComplex:
     generators = level_generators(h, i)
     return SimplicialComplex(
         tuple(range(h.width(i - 1))), frozenset(maximal_sets(s for s, _ in generators))
-    )
-
-
-def delta_correspondence(h: Hyperstructure, i: int) -> Correspondence:
-    """Tabulated boundary of every level-(i+1) bond."""
-    h.level(i)
-    return Correspondence(
-        from_level=i + 1,
-        to_level=i,
-        map={b.id: boundary(h, i + 1, b.id) for b in h.level(i + 1)},
     )
 
 

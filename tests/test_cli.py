@@ -10,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 from hypercode.cli import cli
-from hypercode.hyperstructure import BuildConfig
+from hypercode.codes import OccurrenceLog
+from hypercode.hyperstructure import BuildConfig, build_hyperstructure
 
 from conftest import TRIAD_CSV, matrix_csv
 
@@ -157,6 +158,7 @@ def _drop_bins(obj):
 ARTIFACT_MUTATIONS = {
     "n-float": _set(["n"], 9.0),
     "n-bool": _set(["n"], True),
+    "n-negative": lambda obj: obj.update(n=-1, levels=[]),
     "id-string": _set(["levels", 0, 0, "id"], "0"),
     "id-not-position": _set(["levels", 0, 1, "id"], 0),
     "count-string": _set(["levels", 0, 0, "count"], "x"),
@@ -326,6 +328,16 @@ def test_nerve_betti_above_cap_stops_below_it(runner, tmp_path, monkeypatch):
     assert json.loads(out.read_text())["maximal"] == [list(range(7))]
 
 
+def test_persist_no_levels_writes_only_the_header(runner, tmp_path):
+    hs = tmp_path / "hs.json"
+    hs.write_text(json.dumps(build_hyperstructure(OccurrenceLog(3, ())).to_json_obj()))
+    bars = tmp_path / "bars.csv"
+    r = runner.invoke(cli, ["persist", str(hs), "-o", str(bars)])
+    assert r.exit_code == 0, r.output
+    assert bars.read_text() == "level,dim,birth,death\n"
+    assert r.output == ""
+
+
 def test_persist_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
     note = (
@@ -417,9 +429,14 @@ BAD_INPUT = {
     "log-bins-not-increasing": ('{"n": 2, "bins": [[1, [0]], [0, [1]]]}', ["build"]),
     "log-neuron-out-of-range": ('{"n": 2, "bins": [[0, [0, 2]]]}', ["build"]),
     "log-neuron-negative": ('{"n": 2, "bins": [[0, [-1]]]}', ["build"]),
+    "log-n-negative": ('{"n": -3, "bins": []}', ["build"]),
     "events-without-dt": ("0,0.1\n", ["ingest", "--format", "events"]),
     "event-row-bad": ("0,abc\n", ["ingest", "--format", "events", "--dt", "0.5"]),
     "event-row-short": ("0\n", ["ingest", "--format", "events", "--dt", "0.5"]),
+    "events-neurons-negative": (
+        "neuron_id,timestamp\n",
+        ["ingest", "--format", "events", "--dt", "0.1", "--neurons", "-1"],
+    ),
 }
 
 
@@ -509,6 +526,10 @@ SYNTH_BAD = {
     "n-negative": {"n": -1, "patterns": {}, "schedule": []},
     "pattern-past-n": {"n": 3, "patterns": {"a": [0, 3]}, "schedule": [[0, ["a"]]]},
     "schedule-missing": {"n": 3, "patterns": {"a": [0, 1]}},
+    "patterns-list": {"n": 3, "patterns": [], "schedule": []},
+    "names-string": {"n": 3, "patterns": {"a": [0], "b": [1]}, "schedule": [[0, "ab"]]},
+    "noise-rate-string": {"n": 3, "patterns": {}, "schedule": [], "noise_rate": "0.5"},
+    "noise-rate-bool": {"n": 3, "patterns": {}, "schedule": [], "noise_rate": True},
 }
 
 
@@ -522,3 +543,40 @@ def test_synth_spec_not_strict_is_one_error_line(runner, tmp_path, obj):
     assert isinstance(r.exception, SystemExit)
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
     assert not out.exists()
+
+
+# command -> (its input files, argv from the inputs and the written path)
+PATH_COMMANDS = {
+    "ingest": (["triad.csv"], lambda src, out: ["ingest", *src, "-o", out]),
+    "build": (["log.json"], lambda src, out: ["build", *src, "-o", out]),
+    "persist": (["hs.json"], lambda src, out: ["persist", *src, "-o", out]),
+    "compare": (["hs.json", "hs.json"], lambda src, out: ["compare", *src, "-o", out]),
+    "synth": (["spec.json"], lambda src, out: ["synth", *src, "-o", out]),
+    "nerve-dot": (
+        ["hs.json"],
+        lambda src, out: ["nerve", *src, "--dot", out, "--dot-levels", "1", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["input-dir", "output-dir", "output-in-missing-dir"])
+@pytest.mark.parametrize("command", PATH_COMMANDS)
+def test_refused_path_is_one_error_line(runner, tmp_path, command, fault):
+    _pipeline(runner, tmp_path)
+    (tmp_path / "spec.json").write_text(
+        json.dumps({"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[0, ["a"]]]})
+    )
+    inputs, argv = PATH_COMMANDS[command]
+    src = [str(tmp_path / name) for name in inputs]
+    out = str(tmp_path / "out")
+    if fault == "input-dir":
+        src[0] = str(tmp_path)
+    elif fault == "output-dir":
+        out = str(tmp_path)
+    else:
+        out = str(tmp_path / "missing" / "out")
+    r = runner.invoke(cli, argv(src, out))
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not (tmp_path / "out").exists()

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercode.codes import Pattern, SimplicialComplex, generated_complex
-from hypercode.errors import DimCapError, FiltrationError, LevelRangeError
+from hypercode.errors import DimCapError, LevelRangeError
 from hypercode.homology import (
     Barcode,
     Filtration,
-    barcode_sequence,
     barcodes_to_csv,
     betti,
     euler_characteristic_ok,
@@ -155,7 +154,11 @@ class TestFrequencyFiltration:
     def test_monotone(self):
         hs = _level1_hs([({0, 1, 2}, 2), ({2, 3}, 5)], 4)
         f = frequency_filtration(hs, 1)
-        f.validate()  # raises on violation
+        expected = frequency_values_naive(
+            [((0, 1, 2), 2), ((2, 3), 5)], [(0, 1, 2), (2, 3)], 2
+        )
+        assert dict(zip(f.simplices, f.values)) == expected
+        assert expected[(2,)] == 0.0 and expected[(0, 2)] == 3.0
 
     def test_bond_wider_than_cap(self):
         # only faces up to the cap enter, even of a bond with > cap + 1 vertices
@@ -189,7 +192,6 @@ def test_frequency_values_match_scan_oracle(bins, mode, cap):
             min(max(k.dim, 0), cap),
         )
         assert dict(zip(f.simplices, f.values)) == expected
-        f.validate()
         assert f.truncated == (k.dim > cap)
 
 
@@ -297,9 +299,10 @@ def _flag_filtrations(draw):
 @settings(max_examples=60, deadline=None)
 @given(_flag_filtrations(), st.sampled_from([1, 2, 5]))
 def test_persistence_from_values_matches_dense_oracle(filtration, cap):
+    # every drawn simplex is a generator at its own value
     k, values = filtration
-    f = Filtration.from_values(k, values, dim_cap=cap)
-    assert f.simplices == tuple(sorted(values, key=values.get))
+    f = Filtration(tuple(values.items()), min(k.dim, cap), k.dim > cap)
+    assert f.simplices == tuple(sorted((s for s in values if len(s) <= cap + 1), key=values.get))
     expected = persistence_naive(f.simplices, f.values)
     if f.truncated:
         expected = [iv for iv in expected if iv[0] < cap]
@@ -308,8 +311,7 @@ def test_persistence_from_values_matches_dense_oracle(filtration, cap):
 
 class TestPersistence:
     def test_single_vertex(self):
-        k = _complex([(0,)], 1)
-        f = Filtration.from_values(k, {(0,): 0.0})
+        f = Filtration((((0,), 0.0),), 0, False)
         assert persistence(f).intervals == ((0, 0.0, math.inf),)
 
     def test_four_cycle_bars(self):
@@ -322,16 +324,6 @@ class TestPersistence:
         bars = persistence(frequency_filtration(triad, 2))
         assert bars.in_dim(0) == [(0.0, math.inf)]
         assert bars.in_dim(1) == [(0.0, math.inf)]
-
-    def test_non_monotone_rejected(self):
-        k = _complex([(0, 1)], 2)
-        with pytest.raises(FiltrationError):
-            Filtration.from_values(k, {(0,): 1.0, (1,): 0.0, (0, 1): 0.5})
-
-    def test_missing_face_rejected(self):
-        k = _complex([(0, 1)], 2)
-        with pytest.raises(FiltrationError):
-            Filtration.from_values(k, {(0,): 0.0, (0, 1): 1.0})
 
     def test_keep_zero(self):
         hs = _level1_hs([({0, 1}, 1)], 2)
@@ -372,8 +364,12 @@ def test_persistence_consistency_random():
                 assert bars.count_at(theta, d) == expected[d]
 
 
+def _barcode_sequence(h):
+    return [(i, persistence(frequency_filtration(h, i))) for i in range(1, h.k + 1)]
+
+
 def test_barcode_sequence_triad(triad):
-    seq = barcode_sequence(triad)
+    seq = _barcode_sequence(triad)
     assert [level for level, _ in seq] == [1, 2]
     level1 = seq[0][1]
     assert level1.in_dim(0) == [(0.0, math.inf)] * 3
@@ -382,16 +378,8 @@ def test_barcode_sequence_triad(triad):
     assert level2.in_dim(1) == [(0.0, math.inf)]
 
 
-def test_barcode_sequence_empty():
-    from hypercode.codes import OccurrenceLog
-    from hypercode.hyperstructure import build_hyperstructure
-
-    hs = build_hyperstructure(OccurrenceLog(3, ()))
-    assert barcode_sequence(hs) == []
-
-
 def test_barcode_csv_format(triad):
-    csv_text = barcodes_to_csv(barcode_sequence(triad))
+    csv_text = barcodes_to_csv(_barcode_sequence(triad))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "level,dim,birth,death"
     assert lines[1] == "1,0,0,inf"

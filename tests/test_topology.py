@@ -26,6 +26,7 @@ from hypercode.hyperstructure import (
     Bond,
     BuildConfig,
     Hyperstructure,
+    boundary,
     build_hyperstructure,
     canonical_form,
     downset,
@@ -34,7 +35,6 @@ from hypercode.topology import (
     NERVE_RULES,
     NerveConfig,
     compose_bonds,
-    delta_correspondence,
     gluing_graph,
     level_complex,
     max_cliques,
@@ -98,25 +98,26 @@ class TestLevelComplex:
 
 class TestCorrespondence:
     def test_triad_tabulated_boundary(self, triad):
-        corr = delta_correspondence(triad, 1)
-        assert corr.from_level == 2 and corr.to_level == 1
-        assert set(corr.map) == {b.id for b in triad.level(2)}
-        for bid, image in corr.map.items():
-            assert image == frozenset(triad.bond(2, bid).constituents)
+        assert len(triad.level(2)) == 3
+        for b in triad.level(2):
+            image = boundary(triad, 2, b.id)
+            assert image == frozenset(b.constituents)
             assert len(image) == 2
 
     def test_k1_range_error(self):
         hs = build_hyperstructure(_log([{0, 1}], 2))
         with pytest.raises(LevelRangeError):
-            delta_correspondence(hs, 1)
+            boundary(hs, 2, 0)
 
     def test_no_pruned_references(self):
-        bins = [{0, 1}, {2, 3}, {0, 1}, {2, 3}, {0, 1, 2, 3}, {4, 5}]
+        # {4, 5}, seen first and once, is pruned; the level-2 bond survives
+        bins = [{4, 5}, {0, 1}, {2, 3}, {0, 1}, {2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}]
         hs = build_hyperstructure(_log(bins, 6), BuildConfig(min_count=2))
-        for i in range(1, hs.k):
-            ids_below = {b.id for b in hs.level(i)}
-            for image in delta_correspondence(hs, i).map.values():
-                assert image <= ids_below
+        assert hs.k == 2 and len(hs.level(1)) == 2
+        for i in range(2, hs.k + 1):
+            ids_below = {b.id for b in hs.level(i - 1)}
+            for b in hs.level(i):
+                assert boundary(hs, i, b.id) <= ids_below
 
 
 class TestGluingGraph:
@@ -297,7 +298,6 @@ def test_gluing_graph_invariants(bins):
             }
             for v in g.vertices:
                 joined = {u for e in g.edges if v in e for u in e if u != v}
-                assert g.neighbors(v) == joined
                 assert g.adjacency[v] == bitmask(joined)
             for b in hs.level(i):
                 # a bond's downset is the union of its constituents' downsets
