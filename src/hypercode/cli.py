@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,8 +41,33 @@ def _domain_errors(fn):
     return wrapper
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def _write_json(path: str, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(_json_text(obj))
+
+
+def _write_texts(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text), or no file when the OS refuses one path.
+
+    Every path is first opened for appending, which truncates nothing; a
+    file that probe created is removed again when a later path is refused.
+    """
+    created = []
+    try:
+        for path, _ in outputs:
+            new = not os.path.lexists(path)
+            open(path, "a").close()
+            if new:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, text in outputs:
+        Path(path).write_text(text)
 
 
 def _read_text(path: str) -> str:
@@ -191,10 +217,10 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
     hs = _load_hs(hs_path)
     dot_text = gluing_graph(hs, *dot_levels).to_dot() if dot else None
     k = nerve(hs, NerveConfig(rule=rule, include_levels=levels, clique_budget=clique_budget))
-    if output:
-        _write_json(output, k.to_json_obj())
+    outputs = [(output, _json_text(k.to_json_obj()))] if output else []
     if dot:
-        Path(dot).write_text(dot_text)
+        outputs.append((dot, dot_text))
+    _write_texts(outputs)
     if print_betti or not output:
         _echo_betti(k)
 

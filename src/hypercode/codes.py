@@ -9,6 +9,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from hypercode.errors import ConfigError, DimensionError, ParseError
@@ -280,6 +281,82 @@ def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
             kept.append(mask)
             out.add(s)
     return out
+
+
+def strong_collapse(
+    valued: Iterable[tuple[tuple[int, ...], float]],
+) -> list[tuple[tuple[int, ...], float]]:
+    """Strong-collapse a filtration given by its (simplex, value) generators.
+
+    Every face of a generator enters at the smallest value of a generator
+    containing it.  A vertex v is dominated in every sublevel complex at
+    once iff every generator containing v contains some other vertex u:
+    the AND of their masks has a bit other than v.  Deleting v from those
+    generators retracts each sublevel complex onto the rest (v to u), so
+    the persistence module is kept, apart from zero-length bars (Boissonnat,
+    Pritam & Pareek 2018; Barmak & Minian 2012).
+
+    A generator inside another that enters no later adds no face, so it is
+    dropped: first, and after each pass of deletions, among the generators
+    the pass changed; equal ones merge at their minimum value.  Each vertex
+    keeps the generators containing it as a set, to walk, and as a bond
+    set, whose AND over a generator's vertices finds the generators
+    containing it.  A deletion only shrinks masks, which dominates no other
+    vertex, so only the vertices of dropped generators are tested again.
+    Returns the surviving generators.
+    """
+    first: dict[int, float] = {}
+    for s, value in valued:
+        mask = bitmask(s)
+        if mask and value < first.get(mask, math.inf):
+            first[mask] = value
+    # larger generators first: only a larger one can contain a generator
+    by_size = sorted(first.items(), key=lambda item: item[0].bit_count(), reverse=True)
+    masks = [mask for mask, _ in by_size]
+    values = [value for _, value in by_size]
+    rows: dict[int, set[int]] = {}  # vertex -> the live generators containing it
+    bonds: dict[int, int] = {}  # the same, as a bond set: bit g for generator g
+
+    def covered(g: int) -> bool:
+        """Whether another live generator contains g and enters no later."""
+        others = ~(1 << g)
+        for v in members(masks[g]):
+            others &= bonds.get(v, 0)
+            if not others:
+                return False
+        return any(values[h] <= values[g] for h in members(others))
+
+    # each size enters rows only once it is pruned: equal sizes never nest
+    for _, group in groupby(range(len(masks)), key=lambda g: masks[g].bit_count()):
+        for g in [g for g in group if not covered(g)]:
+            for v in members(masks[g]):
+                rows.setdefault(v, set()).add(g)
+                bonds[v] = bonds.get(v, 0) | 1 << g
+
+    pending = set(rows)
+    while pending:
+        changed: set[int] = set()
+        for v in pending:
+            row = rows[v]
+            bit, common = 1 << v, -1
+            for g in row:
+                common &= masks[g]
+                if common == bit:
+                    break
+            if common != bit:
+                del rows[v], bonds[v]
+                for g in row:
+                    masks[g] ^= bit
+                changed |= row
+        pending = set()
+        for g in changed:
+            if covered(g):
+                for v in members(masks[g]):
+                    rows[v].discard(g)
+                    bonds[v] ^= 1 << g
+                    pending.add(v)
+    live = sorted({g for row in rows.values() for g in row})
+    return [(tuple(members(masks[g])), values[g]) for g in live]
 
 
 def generated_complex(patterns: Iterable[Pattern], n: int) -> SimplicialComplex:

@@ -3,12 +3,13 @@
 A filtration is stored as its generators: (simplex, value) pairs, every
 face of which enters at the smallest value of a generator containing it
 (the bonds for ``frequency_filtration``, the maximal simplices at one
-value for ``betti``).  ``_Generators`` indexes them as bitmasks;
-``_faces`` enumerates the faces of the column dimensions, and
-``persistence``, the only reduction (coboundary, bottom up, with clearing;
-inner loop in :mod:`hypercode._gf2`), generates a column's cofaces from
-the generators only when the kernel needs them.  Betti numbers are its
-infinite bars.
+value for ``betti``).  ``persistence`` first strong-collapses them
+(:func:`hypercode.codes.strong_collapse`) unless it keeps zero-length
+bars; ``_Generators`` indexes what is left as bitmasks, ``_faces``
+enumerates the faces of the column dimensions, and ``persistence``, the
+only reduction (coboundary, bottom up, with clearing; inner loop in
+:mod:`hypercode._gf2`), generates a column's cofaces from the generators
+only when the kernel needs them.  Betti numbers are its infinite bars.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import itemgetter, or_
 from typing import Iterable, Iterator
 
 from hypercode import _gf2
-from hypercode.codes import SimplicialComplex, members
+from hypercode.codes import SimplicialComplex, members, strong_collapse
 from hypercode.errors import ConfigError, DimCapError
 from hypercode.hyperstructure import Hyperstructure, level_generators
 
@@ -283,12 +284,15 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     delta_{d+1}; a simplex neither paired nor such a pivot is an infinite
     bar.
 
-    Zero-length intervals are dropped unless ``keep_zero``.  On a
-    truncated filtration, whose ``top`` is the dim cap, the columns stop
-    below it, so every interval of dimension cap and above is dropped from
-    its barcode.
+    Zero-length intervals are dropped unless ``keep_zero``; without it,
+    the generators are strong-collapsed first, which keeps every interval
+    of positive length and can shrink a wide generator to a few vertices.
+    ``top`` and ``truncated`` stay those of ``f``: the columns run over
+    dimensions 0..top, or below the cap on a truncated filtration, so
+    every interval of dimension cap and above is dropped from its
+    barcode, and a dimension above the collapsed generators has no faces.
     """
-    gens = _Generators(f.generators)
+    gens = _Generators(f.generators if keep_zero else strong_collapse(f.generators))
     value = gens.value
     intervals: list[tuple[int, float, float]] = []
     cleared: set[int] = set()  # keys of the pivots of delta_{d-1}

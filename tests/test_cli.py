@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,11 @@ from click.testing import CliRunner
 
 from hypercode.cli import cli
 from hypercode.codes import OccurrenceLog
-from hypercode.hyperstructure import BuildConfig, build_hyperstructure
+from hypercode.homology import Barcode, barcodes_to_csv, frequency_filtration
+from hypercode.hyperstructure import BuildConfig, Hyperstructure, build_hyperstructure
 
 from conftest import TRIAD_CSV, matrix_csv
+from oracles import betti_naive, maximal_naive, persistence_naive
 
 
 @pytest.fixture
@@ -215,6 +218,22 @@ def test_nerve_dot_levels_out_of_range_fails_before_writing(runner, tmp_path):
     out, dot = tmp_path / "nerve.json", tmp_path / "g.dot"
     r = runner.invoke(
         cli, ["nerve", str(hs), "-o", str(out), "--dot", str(dot), "--dot-levels", "5", "0"]
+    )
+    assert r.exit_code == 1
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists() and not dot.exists()
+
+
+@pytest.mark.parametrize("refused", ["dot", "output"])
+def test_nerve_refused_path_writes_neither_file(runner, tmp_path, refused):
+    _, hs = _pipeline(runner, tmp_path)
+    out, dot = tmp_path / "nerve.json", tmp_path / "g.dot"
+    if refused == "dot":
+        dot = tmp_path / "missing" / "g.dot"
+    else:
+        out = tmp_path / "missing" / "nerve.json"
+    r = runner.invoke(
+        cli, ["nerve", str(hs), "-o", str(out), "--dot", str(dot), "--dot-levels", "1", "0"]
     )
     assert r.exit_code == 1
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
@@ -453,7 +472,8 @@ def test_bad_input_is_one_error_line(runner, tmp_path, text, command):
 
 
 # each pair of the 60 level-1 bonds {0, b + 1} meets at neuron 0, so the
-# nerve is one 59-simplex: its faces below the dim cap need gigabytes
+# nerve is one 59-simplex: its faces below the dim cap would need
+# gigabytes, but it strong-collapses to a point
 STAR_ARTIFACT = {
     "n": 61,
     "config": BuildConfig().to_json_obj(),
@@ -461,6 +481,34 @@ STAR_ARTIFACT = {
         [{"id": b, "constituents": [0, b + 1], "count": 1, "bins": [b]} for b in range(60)]
     ],
 }
+
+
+def _cross_polytope_artifact(m: int) -> dict:
+    """Level-1 bonds a_i, b_i (i < m); each pair with different i shares one
+    private neuron, so a_i and b_i are disjoint and every other pair meets.
+    G(1, 0) is the cross-polytope graph: 2^m maximal cliques and no
+    dominated vertex, so nothing collapses."""
+    bonds = [(i, side) for i in range(m) for side in (0, 1)]
+    meeting = [(x, y) for x, y in combinations(bonds, 2) if x[0] != y[0]]
+    support: dict[tuple[int, int], list[int]] = {b: [] for b in bonds}
+    for neuron, (x, y) in enumerate(meeting):
+        support[x].append(neuron)
+        support[y].append(neuron)
+    return {
+        "n": len(meeting),
+        "config": BuildConfig().to_json_obj(),
+        "levels": [
+            [
+                {"id": k, "constituents": support[b], "count": 1, "bins": [k]}
+                for k, b in enumerate(bonds)
+            ]
+        ],
+    }
+
+
+# 2^19 cliques of 19 bonds: within the clique budget, but their faces
+# below the dim cap need gigabytes
+CROSS_ARTIFACT = _cross_polytope_artifact(19)
 LIMITED_CLI = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
@@ -469,26 +517,94 @@ LIMITED_CLI = (
 )
 
 
-@pytest.mark.parametrize(
-    "command", [["nerve", "--betti"], ["compare", "--with-nerve"]], ids=["nerve", "compare"]
-)
-def test_out_of_memory_is_one_error_line(tmp_path, command):
-    hs = tmp_path / "hs.json"
-    hs.write_text(json.dumps(STAR_ARTIFACT))
-    name, *flags = command
-    paths = [str(hs)] * (2 if name == "compare" else 1)
+def _limited_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess whose address space is capped at 256 MiB."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
-    r = subprocess.run(
-        [sys.executable, "-c", LIMITED_CLI, name, *paths, *flags],
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize(
+    "command", [["nerve", "--betti"], ["compare", "--with-nerve"]], ids=["nerve", "compare"]
+)
+def test_out_of_memory_is_one_error_line(tmp_path, command):
+    hs = tmp_path / "hs.json"
+    hs.write_text(json.dumps(CROSS_ARTIFACT))
+    name, *flags = command
+    paths = [str(hs)] * (2 if name == "compare" else 1)
+    r = _limited_cli(name, *paths, *flags)
     assert r.returncode == 1, r.stderr
     assert r.stderr == "error: out of memory\n"
     assert r.stdout == ""
+
+
+def test_star_nerve_collapses_to_a_point(tmp_path):
+    hs = tmp_path / "hs.json"
+    hs.write_text(json.dumps(STAR_ARTIFACT))
+    r = _limited_cli("nerve", str(hs), "--betti")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "1,0,0,0,0\n"
+    assert r.stderr == "note: complex dimension 59 exceeds dim_cap 5; printing beta_0..beta_4\n"
+
+
+def _level1_artifact(bonds) -> dict:
+    """A one-level artifact of (constituents, count) bonds, bins in turn."""
+    starts = [sum(count for _, count in bonds[:k]) for k in range(len(bonds))]
+    return {
+        "n": max(max(s) for s, _ in bonds) + 1,
+        "config": BuildConfig().to_json_obj(),
+        "levels": [
+            [
+                {
+                    "id": k,
+                    "constituents": sorted(s),
+                    "count": count,
+                    "bins": list(range(t, t + count)),
+                }
+                for k, ((s, count), t) in enumerate(zip(bonds, starts))
+            ]
+        ],
+    }
+
+
+# one 50-neuron bond (C(50, 6), about 16M faces of dimension 5), met in
+# neurons 0-3 by two cycles of smaller bonds, the first filled later
+WIDE_BOND = [
+    (range(50), 4),
+    ([0, 50], 3),
+    ([50, 51], 3),
+    ([51, 1], 3),
+    ([2, 52], 2),
+    ([52, 53], 2),
+    ([53, 3], 2),
+    ([0, 1, 50, 51], 1),
+]
+
+
+def test_wide_bond_matches_dense_oracle(tmp_path):
+    hs = tmp_path / "hs.json"
+    hs.write_text(json.dumps(_level1_artifact(WIDE_BOND)))
+    bars = tmp_path / "bars.csv"
+    r = _limited_cli("persist", str(hs), "-o", str(bars))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.startswith("note: level 1: complex dimension exceeds dim_cap 5")
+    betti = _limited_cli("betti", str(hs), "--level", "1")
+    assert betti.returncode == 0, betti.stderr
+    # neurons 4..49 lie in the wide bond alone, so every sublevel complex
+    # retracts onto the one where that bond is cut to neurons 0..3: the
+    # dense oracle reduces that one, all its faces enumerated
+    cut = [(range(4), 4), *WIDE_BOND[1:]]
+    f = frequency_filtration(Hyperstructure.from_json_obj(_level1_artifact(cut)), 1)
+    expected = [iv for iv in persistence_naive(f.simplices, f.values) if iv[2] > iv[1]]
+    assert bars.read_text() == barcodes_to_csv([(1, Barcode(tuple(expected)))])
+    maximal = maximal_naive(s for s, _ in f.generators)
+    assert betti.stdout == ",".join(map(str, betti_naive(list(maximal), 4))) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from hypercode.codes import (
     maximal_sets,
     parse_spike_matrix,
     render_matrix,
+    strong_collapse,
     support,
 )
 from hypercode.errors import ConfigError, DimensionError, ParseError
@@ -245,6 +246,27 @@ def test_maximal_sets_matches_naive(family):
 def test_maximal_sets_rejects_negative_index():
     with pytest.raises(DimensionError):
         maximal_sets([(-1, 0)])
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 200]), max_size=5),
+            st.integers(0, 3),
+        ),
+        max_size=12,
+    )
+)
+def test_strong_collapse_leaves_nothing_to_collapse(family):
+    # the barcode it keeps is checked by the persistence oracle tests; here,
+    # that no vertex is left dominated and no generator inside another
+    # entering no later
+    out = strong_collapse((tuple(sorted(s)), float(v)) for s, v in family)
+    sets = [(set(s), v) for s, v in out]
+    for i, (s, v) in enumerate(sets):
+        assert s and not any(j != i and s <= t and w <= v for j, (t, w) in enumerate(sets))
+    for x in set().union(*(s for s, _ in sets)):
+        assert set.intersection(*(s for s, _ in sets if x in s)) == {x}
 
 
 def test_simplicial_complex_rejects_non_maximal_simplex():

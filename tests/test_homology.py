@@ -296,17 +296,21 @@ def _flag_filtrations(draw):
     return k, {s: float(t) for t, s in enumerate(simplices)}
 
 
-@settings(max_examples=60, deadline=None)
-@given(_flag_filtrations(), st.sampled_from([1, 2, 5]))
-def test_persistence_from_values_matches_dense_oracle(filtration, cap):
-    # every drawn simplex is a generator at its own value
+@settings(max_examples=120, deadline=None)
+@given(_flag_filtrations(), st.sampled_from([1, 2, 3, 5]), st.booleans())
+def test_persistence_from_values_matches_dense_oracle(filtration, cap, keep_zero):
+    # every drawn simplex is a generator at its own value; without
+    # keep_zero they are strong-collapsed first, and a face entering
+    # before its cofaces must stay
     k, values = filtration
     f = Filtration(tuple(values.items()), min(k.dim, cap), k.dim > cap)
     assert f.simplices == tuple(sorted((s for s in values if len(s) <= cap + 1), key=values.get))
-    expected = persistence_naive(f.simplices, f.values)
-    if f.truncated:
-        expected = [iv for iv in expected if iv[0] < cap]
-    assert list(persistence(f, keep_zero=True).intervals) == expected
+    expected = [
+        (d, b, e)
+        for d, b, e in persistence_naive(f.simplices, f.values)
+        if (d < cap or not f.truncated) and (keep_zero or e > b)
+    ]
+    assert list(persistence(f, keep_zero=keep_zero).intervals) == expected
 
 
 class TestPersistence:
@@ -324,6 +328,15 @@ class TestPersistence:
         bars = persistence(frequency_filtration(triad, 2))
         assert bars.in_dim(0) == [(0.0, math.inf)]
         assert bars.in_dim(1) == [(0.0, math.inf)]
+
+    def test_collapse_keeps_the_cap(self):
+        # the triangle makes the level 2-dimensional, so at cap 1 only
+        # dimension 0 is reduced; it collapses to a point, and the square's
+        # 1-cycle must stay dropped although the collapsed top is 1
+        square = [({0, 1}, 1), ({1, 2}, 1), ({2, 3}, 1), ({3, 0}, 1)]
+        f = frequency_filtration(_level1_hs([*square, ({4, 5, 6}, 1)], 7), 1, dim_cap=1)
+        assert (f.top, f.truncated) == (1, True)
+        assert persistence(f).intervals == ((0, 0.0, math.inf), (0, 0.0, math.inf))
 
     def test_keep_zero(self):
         hs = _level1_hs([({0, 1}, 1)], 2)
