@@ -2,16 +2,11 @@
 
 from hypercode._gf2 import GF2_BACKEND
 from hypercode.codes import (
-    Code,
-    Codeword,
     OccurrenceLog,
     Pattern,
     SimplicialComplex,
     bin_event_list,
-    code_of_log,
-    generated_complex,
     parse_spike_matrix,
-    support,
 )
 from hypercode.compare import ComparisonReport, compare_levels
 from hypercode.homology import (
@@ -29,7 +24,6 @@ from hypercode.hyperstructure import (
     build_hyperstructure,
     canonical_form,
     downset,
-    realize_level1,
 )
 from hypercode.synth import SynthSpec, synth_generate
 from hypercode.topology import (
@@ -48,8 +42,6 @@ __all__ = [
     "Barcode",
     "Bond",
     "BuildConfig",
-    "Code",
-    "Codeword",
     "ComparisonReport",
     "Filtration",
     "GF2_BACKEND",
@@ -65,18 +57,14 @@ __all__ = [
     "boundary",
     "build_hyperstructure",
     "canonical_form",
-    "code_of_log",
     "compare_levels",
     "compose_bonds",
     "downset",
     "frequency_filtration",
-    "generated_complex",
     "gluing_graph",
     "level_complex",
     "nerve",
     "parse_spike_matrix",
     "persistence",
-    "realize_level1",
-    "support",
     "synth_generate",
 ]

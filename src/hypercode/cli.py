@@ -50,19 +50,23 @@ def _write_json(path: str, obj) -> None:
 
 
 def _write_texts(outputs: list[tuple[str, str]]) -> None:
-    """Write each (path, text), or no file when the OS refuses one path.
+    """Write each (path, text), or no file when the OS refuses one path or
+    two paths name one file.
 
     Every path is first opened for appending, which truncates nothing; a
-    file that probe created is removed again when a later path is refused.
+    file that probe created is removed again when the outputs are refused.
     """
     created = []
     try:
-        for path, _ in outputs:
+        for pos, (path, _) in enumerate(outputs):
             new = not os.path.lexists(path)
             open(path, "a").close()
             if new:
                 created.append(path)
-    except OSError:
+            for earlier, _ in outputs[:pos]:
+                if os.path.samefile(earlier, path):
+                    raise ParseError(f"{earlier} and {path} name one file")
+    except (OSError, ParseError):
         for path in created:
             os.remove(path)
         raise
@@ -133,6 +137,10 @@ def cli():
 @_domain_errors
 def ingest(path, fmt, header, dt, neurons, output):
     """Parse spike data into an occurrence-log JSON file."""
+    if fmt == "matrix" and (dt is not None or neurons is not None):
+        raise ParseError("--dt and --neurons apply to --format events only")
+    if fmt == "events" and header:
+        raise ParseError("--header applies to --format matrix only")
     text = _read_text(path)
     if fmt == "matrix":
         _, log = codes.parse_spike_matrix(text, header=header)
@@ -206,6 +214,8 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
     """Compute the nerve of a hyperstructure."""
     if dot and not dot_levels:
         raise ParseError("--dot requires --dot-levels I J")
+    if dot_levels and not dot:
+        raise ParseError("--dot-levels requires --dot")
     try:
         levels = (
             frozenset(int(x) for x in include_levels.split(",")) if include_levels else None

@@ -1,4 +1,5 @@
-"""Raw data model: codewords, supports, binned spike logs and the code complex.
+"""Raw data model: patterns, binned spike logs and their parsers, and simplicial
+complexes stored by their maximal simplices.
 
 Neuron indices are 0-based throughout.
 """
@@ -8,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -40,40 +41,6 @@ class Pattern:
     @property
     def is_empty(self) -> bool:
         return not self.members
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """A binary word marking which neurons fire in one time bin."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ParseError(f"codeword entries must be 0/1: {self.bits}")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True)
-class Code:
-    """A finite set of distinct codewords of a shared length."""
-
-    words: frozenset[Codeword]
-    n: int
-
-    def __post_init__(self) -> None:
-        for w in self.words:
-            if w.n != self.n:
-                raise DimensionError(f"codeword length {w.n} != n={self.n}")
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -107,9 +74,9 @@ class SimplicialComplex:
 
     The constructor trusts its caller that the simplices are pairwise
     incomparable, and checks only that each is nonempty, sorted,
-    duplicate-free and indexes ``vertex_labels``.  Build a complex from an
-    arbitrary family with :func:`generated_complex`; ``from_json_obj``
-    checks maximality too.
+    duplicate-free and indexes ``vertex_labels``.  Filter an arbitrary
+    family with :func:`maximal_sets` first; ``from_json_obj`` checks
+    maximality too.
     """
 
     vertex_labels: tuple
@@ -151,21 +118,6 @@ class SimplicialComplex:
         return k
 
 
-def support(word: Codeword) -> Pattern:
-    """Index set of the 1-entries of a codeword."""
-    return Pattern.of(i for i, b in enumerate(word.bits) if b == 1)
-
-
-def indicator_word(pattern: Pattern, n: int) -> Codeword:
-    """Inverse of :func:`support`: the length-n indicator word of a pattern."""
-    if pattern.members and pattern.members[-1] >= n:
-        raise DimensionError(f"pattern {pattern.members} exceeds n={n}")
-    bits = [0] * n
-    for i in pattern:
-        bits[i] = 1
-    return Codeword(tuple(bits))
-
-
 def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple[int, OccurrenceLog]:
     """Parse a CSV spike matrix (rows = neurons, columns = time bins).
 
@@ -203,16 +155,6 @@ def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple
     return n, OccurrenceLog(n, bins)
 
 
-def render_matrix(n: int, log: OccurrenceLog) -> str:
-    """Inverse of :func:`parse_spike_matrix` (CSV, no header)."""
-    width = max((idx for idx, _ in log.bins), default=-1) + 1
-    grid = [[0] * width for _ in range(n)]
-    for idx, active in log.bins:
-        for i in active:
-            grid[i][idx] = 1
-    return matrix_to_csv(grid)
-
-
 def matrix_to_csv(grid: list[list[int]]) -> str:
     """A 0/1 spike matrix, one row per neuron, as the CSV :func:`parse_spike_matrix` reads."""
     return "\n".join(",".join(str(c) for c in row) for row in grid) + ("\n" if grid else "")
@@ -238,12 +180,6 @@ def bin_event_list(
             raise DimensionError(f"bin index of timestamp {t} at dt={dt} is not finite")
         binned.setdefault(int(k), set()).add(neuron)
     return OccurrenceLog(n, tuple((k, Pattern.of(binned[k])) for k in sorted(binned)))
-
-
-def code_of_log(log: OccurrenceLog) -> Code:
-    """Distinct nonempty active sets of a log, re-encoded as codewords."""
-    patterns = {active for _, active in log.bins if not active.is_empty}
-    return Code(frozenset(indicator_word(p, log.n) for p in patterns), log.n)
 
 
 def bitmask(ids: Iterable[int]) -> int:
@@ -357,19 +293,6 @@ def strong_collapse(
                     pending.add(v)
     live = sorted({g for row in rows.values() for g in row})
     return [(tuple(members(masks[g])), values[g]) for g in live]
-
-
-def generated_complex(patterns: Iterable[Pattern], n: int) -> SimplicialComplex:
-    """Smallest simplicial complex containing every given pattern.
-
-    Vertices are the neuron ids 0..n-1; maximal simplices are the
-    inclusion-maximal patterns.
-    """
-    maximal = maximal_sets(p.members for p in patterns)
-    for s in maximal:
-        if s[-1] >= n:
-            raise DimensionError(f"pattern {s} exceeds n={n}")
-    return SimplicialComplex(tuple(range(n)), frozenset(maximal))
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:

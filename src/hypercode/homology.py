@@ -198,11 +198,6 @@ class Barcode:
     def in_dim(self, d: int) -> list[tuple[float, float]]:
         return [(b, e) for dim, b, e in self.intervals if dim == d]
 
-    def count_at(self, theta: float, d: int) -> int:
-        return sum(
-            1 for dim, b, e in self.intervals if dim == d and b <= theta < e
-        )
-
 
 def betti(
     k: SimplicialComplex, max_dim: int | None = None, dim_cap: int | None = None
@@ -232,20 +227,6 @@ def betti(
     valued = tuple((s, 0.0) for s in k.maximal_simplices)
     bars = persistence(Filtration(valued, max_dim, False))
     return tuple(sum(math.isinf(e) for _, e in bars.in_dim(d)) for d in range(max_dim + 1))
-
-
-def euler_characteristic_ok(k: SimplicialComplex, dim_cap: int | None = None) -> bool:
-    """Check sum (-1)^d f_d == sum (-1)^d beta_d (valid when dim <= cap)."""
-    cap = resolve_dim_cap(dim_cap)
-    if k.dim > cap:
-        raise DimCapError(f"complex dimension {k.dim} exceeds dim_cap {cap}")
-    if k.dim < 0:
-        return True
-    faces = _faces(_Generators((s, 0.0) for s in k.maximal_simplices), k.dim)
-    chi_f = sum((-1) ** d * len(level) for d, level in enumerate(faces))
-    b = betti(k, k.dim, dim_cap=cap)
-    chi_b = sum((-1) ** d * bd for d, bd in enumerate(b))
-    return chi_f == chi_b
 
 
 def frequency_filtration(

@@ -119,7 +119,7 @@ class Hyperstructure:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Hyperstructure":
-        """Load an artifact, checking ids, nonempty constituents, bins and counts."""
+        """Load an artifact, checking ids, nonempty and distinct constituents, bins and counts."""
         try:
             config = BuildConfig.from_json_obj(obj["config"])
             n = _json_int(obj["n"], "n")
@@ -131,6 +131,7 @@ class Hyperstructure:
                     raise ParseError(f"level {lvl} has no bonds")
                 universe = n if lvl == 1 else len(levels[-1])
                 level = []
+                seen: dict[tuple[int, ...], int] = {}
                 for pos, b in enumerate(bonds):
                     where = f"level {lvl} bond {pos}"
                     if _json_int(b["id"], f"{where} id") != pos:
@@ -138,6 +139,9 @@ class Hyperstructure:
                     members = _increasing(b["constituents"], f"{where} constituents", universe)
                     if not members:
                         raise ParseError(f"{where}: no constituents")
+                    if members in seen:
+                        raise ParseError(f"{where}: same constituents as bond {seen[members]}")
+                    seen[members] = pos
                     bins = _increasing(b["bins"], f"{where} bins")
                     if _json_int(b["count"], f"{where} count") != len(bins):
                         raise ParseError(f"{where}: count {b['count']} != {len(bins)} bins")
@@ -183,25 +187,6 @@ def _realize(
             if not remaining:
                 return tuple(chosen)
     return ()
-
-
-def realize_level1(
-    active: Pattern, known: Sequence[Pattern], mode: str = "exact-cover"
-) -> tuple[int, ...]:
-    """Positions in ``known`` of the level-1 patterns a bin's active set realizes.
-
-    exact-cover: greedy disjoint cover, candidates ordered by
-    (size desc, members asc); anything short of an exact cover realizes
-    nothing.  subset-realization: every known pattern contained in the
-    active set is realized.  An empty result means the active set is a
-    new level-1 pattern.
-    """
-    if active.is_empty:
-        raise ConfigError("active set must be nonempty")
-    if mode not in DECOMPOSITION_MODES:
-        raise ConfigError(f"unknown decomposition mode {mode!r}")
-    order = sorted((-len(p), p.members, i) for i, p in enumerate(known))
-    return _realize(bitmask(active), [bitmask(p) for p in known], order, mode)
 
 
 class _Builder:

@@ -2,12 +2,17 @@
 
 Nothing here imports the kernels or algorithms under test: dense GF(2)
 elimination, powerset face enumeration, and a straight re-implementation
-of the chronological detection pass.
+of the chronological detection pass.  The one name taken from
+:mod:`hypercode` is the value type ``SimplicialComplex``, which
+``generated_complex_naive`` builds so that tests can compare complexes
+directly.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from hypercode.codes import SimplicialComplex
 
 
 def gf2_rank_dense(matrix: list[list[int]]) -> int:
@@ -58,6 +63,12 @@ def all_faces(maximal: list[tuple[int, ...]], max_dim: int) -> list[list[tuple[i
         for k in range(1, min(len(s), max_dim + 1) + 1):
             by_dim[k - 1].update(combinations(sorted(s), k))
     return [sorted(level) for level in by_dim]
+
+
+def euler_characteristic_naive(maximal) -> int:
+    """sum (-1)^d f_d over the faces of the complex with these maximal simplices."""
+    top = max((len(s) for s in maximal), default=0) - 1
+    return sum((-1) ** d * len(level) for d, level in enumerate(all_faces(list(maximal), top)))
 
 
 def betti_naive(maximal: list[tuple[int, ...]], max_dim: int) -> tuple[int, ...]:
@@ -116,6 +127,13 @@ def maximal_naive(family) -> set[tuple[int, ...]]:
     return {s for s in present if s and not any(set(s) < set(t) for t in present)}
 
 
+def generated_complex_naive(family, n: int) -> SimplicialComplex:
+    """Smallest complex on the vertices 0..n-1 containing every set of ``family``."""
+    return SimplicialComplex(
+        tuple(range(n)), frozenset(maximal_naive(tuple(sorted(s)) for s in family))
+    )
+
+
 def maximal_cliques_naive(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, ...]]:
     """Maximal cliques of the graph on 0..n-1 with edges (a, b), a < b: every vertex subset tried."""
     cliques = [
@@ -125,6 +143,11 @@ def maximal_cliques_naive(n: int, edges: set[tuple[int, int]]) -> set[tuple[int,
         if all(pair in edges for pair in combinations(s, 2))
     ]
     return maximal_naive(cliques)
+
+
+def count_at_naive(intervals, theta: float, d: int) -> int:
+    """How many d-dimensional (dim, birth, death) intervals are alive at theta."""
+    return sum(1 for dim, b, e in intervals if dim == d and b <= theta < e)
 
 
 def subcomplex_at(

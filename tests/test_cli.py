@@ -180,6 +180,7 @@ ARTIFACT_MUTATIONS = {
     "bin-string": _set(["levels", 0, 0, "bins"], ["0", 3, 5]),
     "bins-missing": _drop_bins,
     "empty-level": lambda obj: obj["levels"].append([]),
+    "duplicate-bond": lambda obj: obj["levels"][0].append({**obj["levels"][0][0], "id": 3}),
     "levels-not-a-list": _set(["levels"], 5),
     "config-max-level-float": _set(["config", "max_level"], 2.5),
     "config-max-level-bool": _set(["config", "max_level"], True),
@@ -224,20 +225,45 @@ def test_nerve_dot_levels_out_of_range_fails_before_writing(runner, tmp_path):
     assert not out.exists() and not dot.exists()
 
 
-@pytest.mark.parametrize("refused", ["dot", "output"])
+@pytest.mark.parametrize("refused", ["dot", "output", "same"])
 def test_nerve_refused_path_writes_neither_file(runner, tmp_path, refused):
     _, hs = _pipeline(runner, tmp_path)
     out, dot = tmp_path / "nerve.json", tmp_path / "g.dot"
     if refused == "dot":
         dot = tmp_path / "missing" / "g.dot"
-    else:
+    elif refused == "output":
         out = tmp_path / "missing" / "nerve.json"
+    else:
+        (tmp_path / "sub").mkdir()
+        dot = tmp_path / "sub" / ".." / "nerve.json"  # the -o file under another name
     r = runner.invoke(
         cli, ["nerve", str(hs), "-o", str(out), "--dot", str(dot), "--dot-levels", "1", "0"]
     )
     assert r.exit_code == 1
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
     assert not out.exists() and not dot.exists()
+
+
+# flags that apply to another format or need another flag
+UNUSED_FLAGS = {
+    "nerve-dot-levels-without-dot": ["nerve", "hs.json", "--dot-levels", "1", "0"],
+    "ingest-matrix-dt": ["ingest", "triad.csv", "--dt", "0.5", "-o", "out"],
+    "ingest-matrix-neurons": ["ingest", "triad.csv", "--neurons", "9", "-o", "out"],
+    "ingest-events-header": [
+        "ingest", "triad.csv", "--format", "events", "--dt", "0.5", "--header", "-o", "out"
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", UNUSED_FLAGS.values(), ids=UNUSED_FLAGS.keys())
+def test_unused_flag_is_one_error_line(runner, tmp_path, monkeypatch, argv):
+    _pipeline(runner, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    r = runner.invoke(cli, argv)
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("levels", ["7", "0,-1"])

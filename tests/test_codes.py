@@ -4,50 +4,52 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hypercode.codes import (
-    Code,
-    Codeword,
     OccurrenceLog,
     Pattern,
     SimplicialComplex,
     bin_event_list,
-    code_of_log,
-    generated_complex,
-    indicator_word,
+    matrix_to_csv,
     maximal_sets,
     parse_spike_matrix,
-    render_matrix,
     strong_collapse,
-    support,
 )
 from hypercode.errors import ConfigError, DimensionError, ParseError
-from hypercode.hyperstructure import build_hyperstructure
+from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hyperstructure
+from hypercode.topology import level_complex
 
 from conftest import TRIAD_CSV
 from oracles import maximal_naive
 
 
+def _support(word: str) -> tuple[int, ...]:
+    """The active set of the one-column spike matrix ``word``, one neuron per row."""
+    n, log = parse_spike_matrix("\n".join(word))
+    assert n == len(word)
+    ((_, active),) = log.bins
+    return active.members
+
+
 def test_support_paper_word():
-    word = Codeword((1, 0, 1, 1, 0, 1, 1, 1, 0, 0))
-    assert support(word).members == (0, 2, 3, 5, 6, 7)
+    assert _support("1011011100") == (0, 2, 3, 5, 6, 7)
 
 
 def test_support_all_zero():
-    assert support(Codeword((0, 0, 0))).members == ()
+    assert _support("000") == ()
 
 
 def test_support_all_one():
-    assert support(Codeword((1, 1, 1))).members == (0, 1, 2)
+    assert _support("111") == (0, 1, 2)
 
 
 def test_support_indicator_roundtrip_exhaustive():
-    # every pattern on n <= 12 neurons survives the roundtrip
+    # every pattern on 1 <= n <= 12 neurons, as one column, parses back
     from itertools import combinations
 
-    for n in range(13):
+    for n in range(1, 13):
         for size in range(n + 1):
             for members in combinations(range(n), size):
-                p = Pattern(members)
-                assert support(indicator_word(p, n)) == p
+                word = "".join("1" if i in members else "0" for i in range(n))
+                assert _support(word) == members
 
 
 def test_parse_identity_matrix():
@@ -93,10 +95,7 @@ def test_parse_skips_blank_lines(text, n, bins):
 REJECTED = {
     "pattern-unsorted": (lambda: Pattern((1, 0)), DimensionError),
     "pattern-negative": (lambda: Pattern((-1, 0)), DimensionError),
-    "codeword-not-binary": (lambda: Codeword((0, 2)), ParseError),
-    "code-word-length": (lambda: Code(frozenset({Codeword((0, 1))}), 3), DimensionError),
-    "indicator-word-past-n": (lambda: indicator_word(Pattern((0, 3)), 3), DimensionError),
-    "generated-complex-past-n": (lambda: generated_complex([Pattern((0, 3))], 3), DimensionError),
+    "generated-complex-past-n": (lambda: _generated_complex([Pattern((0, 3))], 3), DimensionError),
 }
 
 
@@ -121,9 +120,11 @@ def test_parse_header_flag():
     )
 )
 def test_parse_render_roundtrip(rows):
-    text = "\n".join(",".join(map(str, r)) for r in rows)
-    n, log = parse_spike_matrix(text)
-    assert render_matrix(n, log).strip() == text.strip()
+    n, log = parse_spike_matrix(matrix_to_csv(rows))
+    assert n == len(rows)
+    assert [(j, p.members) for j, p in log.bins] == [
+        (j, tuple(i for i, row in enumerate(rows) if row[j])) for j in range(len(rows[0]))
+    ]
 
 
 def test_bin_event_boundary():
@@ -149,9 +150,10 @@ def test_bin_event_gaps_render_as_empty_columns():
     events = [(0, 0.2), (2, 1.1), (1, 4.7), (0, 4.9)]
     sparse = bin_event_list(events, dt=1.0, n=3)
     assert [i for i, _ in sparse.bins] == [0, 1, 4]
-    dense = OccurrenceLog(3, tuple((k, dict(sparse.bins).get(k, Pattern(()))) for k in range(5)))
-    assert render_matrix(3, sparse) == render_matrix(3, dense)
-    assert code_of_log(sparse) == code_of_log(dense)
+    grid = [[1, 0, 0, 0, 1], [0, 0, 0, 0, 1], [0, 1, 0, 0, 0]]
+    n, dense = parse_spike_matrix(matrix_to_csv(grid))
+    assert n == 3 and [i for i, _ in dense.bins] == [0, 1, 2, 3, 4]
+    assert [bt for bt in dense.bins if not bt[1].is_empty] == list(sparse.bins)
     assert build_hyperstructure(sparse) == build_hyperstructure(dense)
 
 
@@ -175,43 +177,25 @@ def test_bin_event_permutation_invariant(events):
     assert bin_event_list(list(reversed(events)), dt=0.5, n=5) == forward
 
 
-def test_code_of_log_triad():
-    _, log = parse_spike_matrix(TRIAD_CSV)
-    code = code_of_log(log)
-    assert len(code) == 6
-    supports = {support(w).members for w in code.words}
-    assert supports == {
-        (0, 1, 2),
-        (3, 4, 5),
-        (6, 7, 8),
-        (0, 1, 2, 3, 4, 5),
-        (3, 4, 5, 6, 7, 8),
-        (0, 1, 2, 6, 7, 8),
-    }
-
-
-def test_code_of_log_dedup():
-    n, log = parse_spike_matrix("1,1\n0,0")
-    assert len(code_of_log(log)) == 1
-
-
-def test_code_of_log_all_empty():
-    n, log = parse_spike_matrix("0,0\n0,0")
-    assert len(code_of_log(log)) == 0
+def _generated_complex(patterns, n):
+    """The complex the patterns generate: the level-1 complex with each
+    distinct pattern as a bond."""
+    bonds = tuple(Bond(i, 1, p.members, 1, (i,)) for i, p in enumerate(sorted(set(patterns))))
+    return level_complex(Hyperstructure(n, (bonds,), BuildConfig()), 1)
 
 
 def test_generated_complex_single_simplex():
-    k = generated_complex([Pattern((0, 1, 2))], 3)
+    k = _generated_complex([Pattern((0, 1, 2))], 3)
     assert k.maximal_simplices == frozenset({(0, 1, 2)})
 
 
 def test_generated_complex_hollow_triangle():
-    k = generated_complex([Pattern((0, 1)), Pattern((1, 2)), Pattern((0, 2))], 3)
+    k = _generated_complex([Pattern((0, 1)), Pattern((1, 2)), Pattern((0, 2))], 3)
     assert k.maximal_simplices == frozenset({(0, 1), (1, 2), (0, 2)})
 
 
 def test_generated_complex_absorbs_faces():
-    k = generated_complex([Pattern((0, 1)), Pattern((0, 1, 2))], 3)
+    k = _generated_complex([Pattern((0, 1)), Pattern((0, 1, 2))], 3)
     assert k.maximal_simplices == frozenset({(0, 1, 2)})
 
 
@@ -222,7 +206,7 @@ def test_generated_complex_absorbs_faces():
     )
 )
 def test_generated_complex_no_comparable_maximal(patterns):
-    k = generated_complex(patterns, 8)
+    k = _generated_complex(patterns, 8)
     sims = list(k.maximal_simplices)
     for a in sims:
         for b in sims:

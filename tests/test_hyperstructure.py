@@ -14,7 +14,6 @@ from hypercode.hyperstructure import (
     build_hyperstructure,
     canonical_form,
     downset,
-    realize_level1,
 )
 
 from conftest import TRIAD_CSV, matrix_csv
@@ -33,35 +32,32 @@ def _bond_by_form(hs, level, form):
 
 
 class TestRealizeLevel1:
+    """Which level-1 patterns the last bin of a log realizes, read off the
+    (constituents, bins) of each level-1 bond."""
+
+    @staticmethod
+    def _level1(bins, n, mode="exact-cover"):
+        hs = build_hyperstructure(_log(bins, n), BuildConfig(decomposition=mode))
+        return [(b.constituents, b.bins) for b in hs.level(1)]
+
     def test_exact_cover_of_union(self):
-        a, b = Pattern((0, 1, 2)), Pattern((3, 4, 5))
-        res = realize_level1(Pattern((0, 1, 2, 3, 4, 5)), [a, b], "exact-cover")
-        assert set(res) == {0, 1}
+        level1 = self._level1([{0, 1, 2}, {3, 4, 5}, {0, 1, 2, 3, 4, 5}], 6)
+        assert level1 == [((0, 1, 2), (0, 2)), ((3, 4, 5), (1, 2))]
 
     def test_first_sighting(self):
-        res = realize_level1(Pattern((1, 3)), [], "exact-cover")
-        assert res == ()
+        assert self._level1([{1, 3}], 4) == [((1, 3), (0,))]
 
     def test_no_exact_cover_makes_new_pattern(self):
-        a = Pattern((0, 1, 2))
-        active = Pattern((0, 1, 2, 8))
-        res = realize_level1(active, [a], "exact-cover")
-        assert res == ()
-        # exhaustive check: no sub-multiset of known patterns covers it
-        assert a.as_set() != active.as_set()
+        level1 = self._level1([{0, 1, 2}, {0, 1, 2, 8}], 9)
+        assert level1 == [((0, 1, 2), (0,)), ((0, 1, 2, 8), (1,))]
 
     def test_subset_realization(self):
-        known = [Pattern((0, 1)), Pattern((2,)), Pattern((5, 6))]
-        res = realize_level1(Pattern((0, 1, 2, 3)), known, "subset-realization")
-        assert set(res) == {0, 1}
+        level1 = self._level1([{0, 1}, {2}, {5, 6}, {0, 1, 2, 3}], 7, "subset-realization")
+        assert level1 == [((0, 1), (0, 3)), ((2,), (1, 3)), ((5, 6), (2,))]
 
     def test_subset_realization_none(self):
-        res = realize_level1(Pattern((9,)), [Pattern((0, 1))], "subset-realization")
-        assert res == ()
-
-    def test_empty_active_rejected(self):
-        with pytest.raises(ConfigError):
-            realize_level1(Pattern(()), [], "exact-cover")
+        level1 = self._level1([{0, 1}, {9}], 10, "subset-realization")
+        assert level1 == [((0, 1), (0,)), ((9,), (1,))]
 
 
 class TestBuild:
@@ -137,7 +133,7 @@ class TestBuild:
 
 QUERY_ERRORS = {
     "min-count-0": (lambda hs: BuildConfig(min_count=0).validate(), ConfigError),
-    "unknown-mode": (lambda hs: realize_level1(Pattern((0,)), [], "nope"), ConfigError),
+    "unknown-mode": (lambda hs: BuildConfig(decomposition="nope").validate(), ConfigError),
     "boundary-level-1": (lambda hs: boundary(hs, 1, 0), BondLookupError),
     "downset-target-not-below": (lambda hs: downset(hs, 2, 0, 2), BondLookupError),
 }
@@ -286,16 +282,8 @@ def test_build_deterministic(bins):
 def test_max_level_1_equals_realize_outputs(bins):
     log = _log(bins, 7)
     hs = build_hyperstructure(log, BuildConfig(max_level=1))
-    known: list[Pattern] = []
-    for _, active in log.bins:
-        if active.is_empty:
-            continue
-        if not realize_level1(active, known, "exact-cover"):
-            known.append(active)
-    if hs.k == 0:
-        assert not known
-    else:
-        assert [Pattern(b.constituents) for b in hs.level(1)] == known
+    (naive,) = rebuild_pass_naive([(t, frozenset(active)) for t, active in log.bins], max_level=1)
+    assert [(b.constituents, b.count) for b in (hs.level(1) if hs.k else ())] == naive
 
 
 @given(bins_strategy)

@@ -1,7 +1,8 @@
-"""The test configuration and the package's export list."""
+"""The test configuration, the package's export list and the oracles' independence."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import hypercode
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 PROPERTY_TESTS = """
 from hypothesis import given, settings, strategies as st
@@ -44,3 +46,15 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from hypercode import *", namespace)  # a stale name raises AttributeError
     assert set(hypercode.__all__) <= namespace.keys()
+
+
+def test_oracles_import_only_the_complex_value_type():
+    # an oracle that reused the code under test would check it against itself
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "", alias.name) for alias in node.names}
+    from_package = {(m, name) for m, name in imported if m.split(".")[0] == "hypercode"}
+    assert from_package <= {("hypercode.codes", "SimplicialComplex")}
