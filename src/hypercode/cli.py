@@ -19,8 +19,20 @@ import hypercode
 from hypercode import codes, homology, synth
 from hypercode.compare import compare_levels
 from hypercode.errors import HypercodeError, ParseError
-from hypercode.hyperstructure import BuildConfig, Hyperstructure, build_hyperstructure
-from hypercode.topology import DEFAULT_CLIQUE_BUDGET, NerveConfig, gluing_graph, level_complex, nerve
+from hypercode.hyperstructure import (
+    DECOMPOSITION_MODES,
+    BuildConfig,
+    Hyperstructure,
+    build_hyperstructure,
+)
+from hypercode.topology import (
+    DEFAULT_CLIQUE_BUDGET,
+    NERVE_RULES,
+    NerveConfig,
+    gluing_graph,
+    level_complex,
+    nerve,
+)
 
 
 def _domain_errors(fn):
@@ -53,7 +65,7 @@ def _write_texts(outputs: list[tuple[str, str]]) -> None:
     """Write each (path, text), or no file when the OS refuses one path or
     two paths name one file.
 
-    Every path is first opened for appending, which truncates nothing; a
+    Every path is first opened in append mode, which truncates nothing; a
     file that probe created is removed again when the outputs are refused.
     """
     created = []
@@ -165,7 +177,7 @@ def ingest(path, fmt, header, dt, neurons, output):
 @click.option("--max-level", type=int, default=3, show_default=True)
 @click.option(
     "--decomposition",
-    type=click.Choice(["exact-cover", "subset-realization"]),
+    type=click.Choice(DECOMPOSITION_MODES),
     default="exact-cover",
     show_default=True,
 )
@@ -202,7 +214,7 @@ def betti(hs_path, level, max_dim, dim_cap):
 
 @cli.command("nerve")
 @click.argument("hs_path", type=click.Path(exists=True))
-@click.option("--rule", type=click.Choice(["pairwise", "connected"]), default="pairwise", show_default=True)
+@click.option("--rule", type=click.Choice(NERVE_RULES), default="pairwise", show_default=True)
 @click.option("--include-levels", default=None, help="Comma-separated levels (default: all).")
 @click.option("--clique-budget", type=int, default=DEFAULT_CLIQUE_BUDGET, show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write nerve complex JSON here.")

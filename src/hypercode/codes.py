@@ -10,7 +10,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from hypercode.errors import ConfigError, DimensionError, ParseError
@@ -198,25 +197,49 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _maximal(
+    valued: Iterable[tuple[int, float]],
+) -> tuple[list[tuple[int, float]], dict[int, int]]:
+    """The (mask, value) pairs that no other pair contains at a value no later.
+
+    Equal masks merge at their minimum value.  The pairs are visited by
+    value, then by decreasing size, so a mask is kept iff no kept mask
+    contains it.  Each vertex has a bond set of the kept masks containing
+    it (bit g for the g-th kept); a kept mask contains a mask iff the AND
+    of its vertices' bond sets is nonzero, so the empty mask is never
+    kept.  Returns the kept pairs and the vertices' bond sets.
+    """
+    first: dict[int, float] = {}
+    for mask, value in valued:
+        if value < first.get(mask, math.inf):
+            first[mask] = value
+    kept: list[tuple[int, float]] = []
+    bonds: dict[int, int] = {}
+    for mask, value in sorted(first.items(), key=lambda item: (item[1], -item[0].bit_count())):
+        containing = -1
+        for v in members(mask):
+            containing &= bonds.get(v, 0)
+            if not containing:
+                break
+        if not containing:
+            for v in members(mask):
+                bonds[v] = bonds.get(v, 0) | 1 << len(kept)
+            kept.append((mask, value))
+    return kept, bonds
+
+
 def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """Inclusion-maximal members of a family of sorted index tuples.
 
     The empty tuple is dropped; a negative index raises DimensionError.
-    Distinct tuples are visited in decreasing size, so a tuple is maximal
-    iff its bitmask lies in no mask kept so far.
+    This is :func:`_maximal` with one value for every member.
     """
-    kept: list[int] = []
-    out: set[tuple[int, ...]] = set()
-    for s in sorted(set(family), key=len, reverse=True):
-        if not s:
-            break
-        if s[0] < 0:
+    family = set(family)
+    for s in family:
+        if s and s[0] < 0:
             raise DimensionError(f"negative index in {s}")
-        mask = bitmask(s)
-        if not any(mask & m == mask for m in kept):
-            kept.append(mask)
-            out.add(s)
-    return out
+    kept, _ = _maximal((bitmask(s), 0) for s in family)
+    return {tuple(members(mask)) for mask, _ in kept}
 
 
 def strong_collapse(
@@ -232,67 +255,30 @@ def strong_collapse(
     the persistence module is kept, apart from zero-length bars (Boissonnat,
     Pritam & Pareek 2018; Barmak & Minian 2012).
 
-    A generator inside another that enters no later adds no face, so it is
-    dropped: first, and after each pass of deletions, among the generators
-    the pass changed; equal ones merge at their minimum value.  Each vertex
-    keeps the generators containing it as a set, to walk, and as a bond
-    set, whose AND over a generator's vertices finds the generators
-    containing it.  A deletion only shrinks masks, which dominates no other
-    vertex, so only the vertices of dropped generators are tested again.
+    A generator inside another that enters no later adds no face, so
+    :func:`_maximal` drops it: first, and again after every pass that
+    deletes a vertex.  A pass tests every vertex in turn against the masks
+    as the pass has left them, so of two vertices in the same generators
+    only one goes.  The collapse stops after a pass that deletes nothing.
     Returns the surviving generators.
     """
-    first: dict[int, float] = {}
-    for s, value in valued:
-        mask = bitmask(s)
-        if mask and value < first.get(mask, math.inf):
-            first[mask] = value
-    # larger generators first: only a larger one can contain a generator
-    by_size = sorted(first.items(), key=lambda item: item[0].bit_count(), reverse=True)
-    masks = [mask for mask, _ in by_size]
-    values = [value for _, value in by_size]
-    rows: dict[int, set[int]] = {}  # vertex -> the live generators containing it
-    bonds: dict[int, int] = {}  # the same, as a bond set: bit g for generator g
-
-    def covered(g: int) -> bool:
-        """Whether another live generator contains g and enters no later."""
-        others = ~(1 << g)
-        for v in members(masks[g]):
-            others &= bonds.get(v, 0)
-            if not others:
-                return False
-        return any(values[h] <= values[g] for h in members(others))
-
-    # each size enters rows only once it is pruned: equal sizes never nest
-    for _, group in groupby(range(len(masks)), key=lambda g: masks[g].bit_count()):
-        for g in [g for g in group if not covered(g)]:
-            for v in members(masks[g]):
-                rows.setdefault(v, set()).add(g)
-                bonds[v] = bonds.get(v, 0) | 1 << g
-
-    pending = set(rows)
-    while pending:
-        changed: set[int] = set()
-        for v in pending:
-            row = rows[v]
+    kept, bonds = _maximal((bitmask(s), value) for s, value in valued)
+    while True:
+        masks = [mask for mask, _ in kept]
+        deleted = False
+        for v, row in bonds.items():
             bit, common = 1 << v, -1
-            for g in row:
+            for g in members(row):
                 common &= masks[g]
                 if common == bit:
                     break
             if common != bit:
-                del rows[v], bonds[v]
-                for g in row:
+                deleted = True
+                for g in members(row):
                     masks[g] ^= bit
-                changed |= row
-        pending = set()
-        for g in changed:
-            if covered(g):
-                for v in members(masks[g]):
-                    rows[v].discard(g)
-                    bonds[v] ^= 1 << g
-                    pending.add(v)
-    live = sorted({g for row in rows.values() for g in row})
-    return [(tuple(members(masks[g])), values[g]) for g in live]
+        if not deleted:
+            return [(tuple(members(mask)), value) for mask, value in kept]
+        kept, bonds = _maximal(zip(masks, (value for _, value in kept)))
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:

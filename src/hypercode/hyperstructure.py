@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
-from hypercode.codes import OccurrenceLog, Pattern, _json_int, bitmask
+from hypercode.codes import OccurrenceLog, Pattern, _json_int, bitmask, members
 from hypercode.errors import BondLookupError, ConfigError, LevelRangeError, ParseError
 
 DECOMPOSITION_MODES = ("exact-cover", "subset-realization")
@@ -312,14 +314,27 @@ def boundary(h: Hyperstructure, level: int, bond_id: int) -> frozenset[int]:
     return frozenset(h.bond(level, bond_id).constituents)
 
 
+def downsets(h: Hyperstructure, i: int, j: int) -> list[int]:
+    """Per level-i bond, by id, the bitmask of its level-j downset.
+
+    Raises ``LevelRangeError`` unless 1 <= i <= k and 0 <= j < i.  Level
+    j+1's downsets are its bonds' constituent masks, ORed upward from
+    there, so they take bonds x width(j) bits rather than width(j)^2.
+    """
+    h.level(i)
+    if not 0 <= j < i:
+        raise LevelRangeError(f"downset level {j} must satisfy 0 <= j < {i}")
+    downs = [bitmask(b.constituents) for b in h.level(j + 1)]
+    for level in range(j + 2, i + 1):
+        downs = [reduce(or_, (downs[c] for c in b.constituents)) for b in h.level(level)]
+    return downs
+
+
 def downset(h: Hyperstructure, level: int, bond_id: int, target: int) -> frozenset[int]:
-    """Iterated boundary down to ``target``; target 0 gives the neuron support."""
-    if not 0 <= target < level:
-        raise BondLookupError(f"target {target} must satisfy 0 <= target < {level}")
-    current = frozenset({bond_id})
-    for lvl in range(level, target, -1):
-        current = frozenset(c for bid in current for c in h.bond(lvl, bid).constituents)
-    return current
+    """Iterated boundary down to ``target``, read off :func:`downsets`;
+    target 0 gives the neuron support."""
+    bond = h.bond(level, bond_id)
+    return frozenset(members(downsets(h, level, target)[bond.id]))
 
 
 def canonical_form(h: Hyperstructure, level: int, bond_id: int) -> str:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from hypercode.codes import Pattern, _json_int, matrix_to_csv  # noqa: F401 (re-exported)
 from hypercode.errors import ConfigError, ParseError
 
-MAX_CELLS = 10**7  # n x (largest bin + 1) bound on the dense grid synth_generate allocates
+# bound on the dense grid synth_generate allocates: n x (largest bin + 1)
+# cells, an empty row counted as one cell since it is still a list
+MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class SynthSpec:
                 if name not in self.patterns:
                     raise ConfigError(f"schedule references undefined pattern {name!r}")
         width = max((b for b, _ in self.schedule), default=-1) + 1
-        if self.n * width > MAX_CELLS:
+        if self.n * max(width, 1) > MAX_CELLS:
             raise ConfigError(
                 f"spec needs a {self.n} x {width} grid, more than {MAX_CELLS} cells"
             )

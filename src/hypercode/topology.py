@@ -12,8 +12,8 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from hypercode.codes import SimplicialComplex, maximal_sets, members
-from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError, LevelRangeError
-from hypercode.hyperstructure import Hyperstructure, downset, level_generators
+from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError
+from hypercode.hyperstructure import Hyperstructure, downsets, level_generators
 
 NERVE_RULES = ("pairwise", "connected")
 DEFAULT_CLIQUE_BUDGET = 10**6
@@ -73,12 +73,6 @@ class CompositeDescriptor:
     overlaps: tuple[tuple[int, ...], ...]
 
 
-def _check_stratum(h: Hyperstructure, i: int, j: int) -> None:
-    h.level(i)
-    if not 0 <= j < i:
-        raise LevelRangeError(f"gluing level {j} must satisfy 0 <= j < {i}")
-
-
 def level_complex(h: Hyperstructure, i: int) -> SimplicialComplex:
     """The complex of level i: vertices one level down, simplices the bonds.
 
@@ -94,19 +88,16 @@ def level_complex(h: Hyperstructure, i: int) -> SimplicialComplex:
 
 
 def gluing_graph(h: Hyperstructure, i: int, j: int) -> GluingGraph:
-    """Edge between two level-i bonds iff their level-j downsets intersect."""
-    _check_stratum(h, i, j)
-    # level-j downsets as bitmasks: one bit per level-j item, ORed up level by level
-    downsets = [1 << v for v in range(h.width(j))]
-    for level in range(j + 1, i + 1):
-        downsets = [reduce(or_, (downsets[c] for c in b.constituents), 0) for b in h.level(level)]
-    adjacency = [0] * len(downsets)
-    for a, down_a in enumerate(downsets):
-        for b in range(a + 1, len(downsets)):
-            if down_a & downsets[b]:
+    """Edge between two level-i bonds iff their level-j downsets intersect
+    (:func:`~hypercode.hyperstructure.downsets`, which checks 0 <= j < i)."""
+    downs = downsets(h, i, j)
+    adjacency = [0] * len(downs)
+    for a, down_a in enumerate(downs):
+        for b in range(a + 1, len(downs)):
+            if down_a & downs[b]:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-    return GluingGraph(i, j, tuple(range(len(downsets))), tuple(downsets), tuple(adjacency))
+    return GluingGraph(i, j, tuple(range(len(downs))), tuple(downs), tuple(adjacency))
 
 
 def compose_bonds(
@@ -119,21 +110,21 @@ def compose_bonds(
     """
     if not ids:
         raise CompositionError("empty composition")
-    _check_stratum(h, i, j)
-    downsets = [downset(h, i, bid, j) for bid in ids]  # raises on an unknown id
+    downs = downsets(h, i, j)
+    chain = [downs[h.bond(i, bid).id] for bid in ids]  # raises on an unknown id
     overlaps: list[tuple[int, ...]] = []
-    for a, b, down_a, down_b in zip(ids, ids[1:], downsets, downsets[1:]):
+    for a, b, down_a, down_b in zip(ids, ids[1:], chain, chain[1:]):
         overlap = down_a & down_b
         if a == b or not overlap:
             raise CompositionError(
                 f"bonds {a} and {b} at level {i} are not gluable at level {j}"
             )
-        overlaps.append(tuple(sorted(overlap)))
+        overlaps.append(tuple(members(overlap)))
     return CompositeDescriptor(
         level_i=i,
         level_j=j,
         bond_ids=tuple(ids),
-        union=tuple(sorted(frozenset().union(*downsets))),
+        union=tuple(members(reduce(or_, chain))),
         overlaps=tuple(overlaps),
     )
 

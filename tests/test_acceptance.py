@@ -5,11 +5,9 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 
-import pytest
 from click.testing import CliRunner
 
 from hypercode.cli import cli
@@ -21,7 +19,6 @@ from hypercode.hyperstructure import (
     BuildConfig,
     Hyperstructure,
     build_hyperstructure,
-    canonical_form,
 )
 from hypercode.synth import SynthSpec, matrix_to_csv, synth_generate
 from hypercode.topology import NerveConfig, level_complex, nerve

@@ -633,6 +633,43 @@ def test_wide_bond_matches_dense_oracle(tmp_path):
     assert betti.stdout == ",".join(map(str, betti_naive(list(maximal), 4))) + "\n"
 
 
+# two bonds that meet in neuron 1 of 100,000: a gluing graph that starts
+# its downsets from one mask per neuron, rather than per bond, takes n^2 bits
+TWO_BONDS_WIDE = _level1_artifact([([0, 1], 1), ([1, 99_999], 1)])
+
+
+@pytest.mark.parametrize("command", ["nerve", "nerve-dot", "compare"])
+def test_nerve_memory_grows_with_bonds_times_neurons(tmp_path, command):
+    hs = tmp_path / "hs.json"
+    hs.write_text(json.dumps(TWO_BONDS_WIDE))
+    args = {
+        "nerve": ["nerve", str(hs)],
+        "nerve-dot": ["nerve", str(hs), "-o", str(tmp_path / "nerve.json"),
+                      "--dot", str(tmp_path / "g.dot"), "--dot-levels", "1", "0"],
+        "compare": ["compare", str(hs), str(hs), "--with-nerve"],
+    }[command]
+    r = _limited_cli(*args)
+    assert r.returncode == 0, r.stderr
+    if command == "nerve":
+        assert r.stdout == "1,0\n"
+    if command == "nerve-dot":
+        assert (tmp_path / "g.dot").read_text() == (
+            'graph gluing_1_0 {\n  0;\n  1;\n  0 -- 1 [label="1"];\n}\n'
+        )
+
+
+def test_synth_empty_schedule_too_many_rows_is_one_error_line(tmp_path):
+    # n x 0 cells, but n row lists: under the cap, an unchecked spec runs out of memory
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 10**8, "patterns": {}, "schedule": []}))
+    out = tmp_path / "m.csv"
+    r = _limited_cli("synth", str(spec), "-o", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: spec needs a 100000000 x 0 grid")
+    assert len(r.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "events, dt",
     [

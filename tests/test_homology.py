@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from hypercode.codes import Pattern, SimplicialComplex
 from hypercode.errors import DimCapError, LevelRangeError
 from hypercode.homology import (
-    Barcode,
     Filtration,
     barcodes_to_csv,
     betti,

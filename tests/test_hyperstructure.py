@@ -16,7 +16,7 @@ from hypercode.hyperstructure import (
     downset,
 )
 
-from conftest import TRIAD_CSV, matrix_csv
+from conftest import TRIAD_CSV
 from oracles import rebuild_pass_naive
 
 

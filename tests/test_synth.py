@@ -65,6 +65,13 @@ def test_grid_bound_checked_before_allocating():
         synth_generate(SynthSpec(n=10, patterns={}, schedule=((bin_ + 1, ()),)))
 
 
+def test_grid_bound_counts_empty_rows():
+    # no bin scheduled: still one (empty) row list per neuron
+    SynthSpec(n=MAX_CELLS, patterns={}, schedule=()).validate()
+    with pytest.raises(ConfigError):
+        SynthSpec(n=MAX_CELLS + 1, patterns={}, schedule=()).validate()
+
+
 def test_json_roundtrip():
     obj = {
         "n": 4,

@@ -1,4 +1,5 @@
-"""The test configuration, the package's export list and the oracles' independence."""
+"""The test configuration, the package's export list, the oracles' independence
+and unused imports."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ from pathlib import Path
 import hypercode
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
+PACKAGE = TESTS.parent / "src" / "hypercode"
 
 PROPERTY_TESTS = """
 from hypothesis import given, settings, strategies as st
@@ -58,3 +61,33 @@ def test_oracles_import_only_the_complex_value_type():
             imported |= {(node.module or "", alias.name) for alias in node.names}
     from_package = {(m, name) for m, name in imported if m.split(".")[0] == "hypercode"}
     assert from_package <= {("hypercode.codes", "SimplicialComplex")}
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports to export; a line marked noqa: F401 re-exports
+    paths = sorted([*TESTS.glob("*.py"), *PACKAGE.glob("*.py")])
+    assert PACKAGE / "codes.py" in paths
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        imported = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
