@@ -10,6 +10,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from hypercode.errors import ConfigError, DimensionError, ParseError
@@ -148,8 +149,9 @@ def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple
         if len(row) != width:
             raise DimensionError(f"ragged row {i}: {len(row)} cells, expected {width}")
     n = len(rows)
+    neurons = range(n)
     bins = tuple(
-        (j, Pattern.of(i for i in range(n) if rows[i][j] == 1)) for j in range(width)
+        (j, Pattern(tuple(compress(neurons, column)))) for j, column in enumerate(zip(*rows))
     )
     return n, OccurrenceLog(n, bins)
 

@@ -8,12 +8,12 @@ over the bins of an :class:`~hypercode.codes.OccurrenceLog`.
 from __future__ import annotations
 
 import bisect
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterable
 
-from hypercode.codes import OccurrenceLog, Pattern, _json_int, bitmask, members
+from hypercode.codes import OccurrenceLog, _json_int, bitmask, members
 from hypercode.errors import BondLookupError, ConfigError, LevelRangeError, ParseError
 
 DECOMPOSITION_MODES = ("exact-cover", "subset-realization")
@@ -164,73 +164,74 @@ def _increasing(xs, what: str, universe: int | None = None) -> tuple[int, ...]:
     return out
 
 
-def _inside(masks: Sequence[int], mask: int) -> list[int]:
-    """Ids, ascending, of the known masks that lie inside ``mask``."""
-    return [i for i, m in enumerate(masks) if m & mask == m]
-
-
-def _realize(
-    active: int, masks: Sequence[int], order: Sequence[tuple], mode: str
-) -> tuple[int, ...]:
-    """Ids of the known level-1 masks that ``active`` realizes; () if none.
-
-    ``order`` lists ``(-size, members, id)`` for every mask, sorted: the
-    exact-cover greedy takes disjoint candidates in that order.
-    """
-    if mode == "subset-realization":
-        return tuple(_inside(masks, active))
-    remaining = active
-    chosen: list[int] = []
-    for _, _, i in order:
-        m = masks[i]
-        if m & remaining == m:
-            remaining ^= m
-            chosen.append(i)
-            if not remaining:
-                return tuple(chosen)
-    return ()
+def _inside(table: Iterable[int], mask: int) -> list[int]:
+    """Ids, ascending, of the masks in ``table`` (listed by id) that lie inside ``mask``."""
+    return [i for i, m in enumerate(table) if m & mask == m]
 
 
 class _Builder:
-    """Mutable working state for one chronological pass."""
+    """Mutable working state for one chronological pass.
 
-    def __init__(self, max_level: int):
-        self.max_level = max_level
-        # per level: list of (constituents, bins); a bond's count is len(bins)
-        self.levels: list[list[tuple]] = [[] for _ in range(max_level)]
-        self.index: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_level)]
-        # per level, by bond id: constituents as a bitmask (neuron bits at
-        # level 1, lower-level bond ids above)
-        self.masks: list[list[int]] = [[] for _ in range(max_level)]
-        self.order: list[tuple] = []  # level 1: (-size, members, id), sorted
+    ``ids`` has one dict per level that a bin has reached.  It maps each
+    bond's constituents as a bitmask (neuron bits at level 1, lower-level
+    bond ids above) to the bond's id, in first-sighting order; ``bins``
+    lists each bond's bins by id.
+    """
 
-    def register(self, level: int, constituents: tuple[int, ...]) -> int:
-        table = self.index[level - 1]
-        bid = table.get(constituents)
+    def __init__(self, config: BuildConfig):
+        self.config = config
+        self.ids: list[dict[int, int]] = []
+        self.bins: list[list[list[int]]] = []
+        # exact cover only: (-size, members, id, mask) per level-1 bond, sorted
+        self.order: list[tuple] = []
+
+    def register(self, level: int, mask: int) -> int:
+        if level > len(self.ids):
+            self.ids.append({})
+            self.bins.append([])
+        table = self.ids[level - 1]
+        bid = table.get(mask)
         if bid is None:
-            bid = len(self.levels[level - 1])
-            table[constituents] = bid
-            self.levels[level - 1].append((constituents, []))
-            self.masks[level - 1].append(bitmask(constituents))
-            if level == 1:
-                bisect.insort(self.order, (-len(constituents), constituents, bid))
+            bid = table[mask] = len(table)
+            self.bins[level - 1].append([])
+            if level == 1 and self.config.decomposition == "exact-cover":
+                bisect.insort(self.order, (-mask.bit_count(), tuple(members(mask)), bid, mask))
         return bid
 
-    def process_bin(self, t: int, active: Pattern, mode: str, keep_union: bool) -> None:
-        realized = set(_realize(bitmask(active), self.masks[0], self.order, mode))
-        if not realized or (keep_union and mode == "exact-cover" and len(realized) >= 2):
-            realized.add(self.register(1, active.members))
+    def process_bin(self, t: int, active: int) -> None:
+        """Record bin ``t``, whose active neurons are the bits of ``active``.
+
+        The bin realizes, under subset realization, every known level-1
+        mask inside ``active``; under exact cover, the masks a greedy takes
+        disjointly in ``order`` when they cover ``active``.  Realizing
+        nothing, or (with keep-union-words) a union under exact cover,
+        registers ``active`` itself.
+        """
+        exact = self.config.decomposition == "exact-cover"
+        if not exact:
+            realized = _inside(self.ids[0] if self.ids else (), active)
+        else:
+            realized, remaining = [], active
+            for _, _, i, m in self.order:
+                if m & remaining == m:
+                    remaining ^= m
+                    realized.append(i)
+                    if not remaining:
+                        break
+            if remaining:
+                realized = []
+        if not realized or (self.config.keep_union_words and exact and len(realized) >= 2):
+            realized.append(self.register(1, active))
         current = sorted(realized)
-        for bid in current:
-            self.levels[0][bid][1].append(t)
-        for lvl in range(1, self.max_level):
-            if len(current) < 2:
+        for level in range(1, self.config.max_level + 1):
+            for bid in current:
+                self.bins[level - 1][bid].append(t)
+            if level == self.config.max_level or len(current) < 2:
                 break
             # the new bond's mask is the mask of ``current``, so it lies inside
-            self.register(lvl + 1, tuple(current))
-            current = _inside(self.masks[lvl], bitmask(current))
-            for bid in current:
-                self.levels[lvl][bid][1].append(t)
+            mask = bitmask(current)
+            self.register(level + 1, mask)
+            current = _inside(self.ids[level], mask)
 
 
 def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) -> Hyperstructure:
@@ -245,47 +246,38 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     """
     config = config or BuildConfig()
     config.validate()
-    builder = _Builder(config.max_level)
-
+    bins = [(t, mask) for t, active in log.bins if (mask := bitmask(active))]
+    builder = _Builder(config)
     if config.two_pass:
         # Pass 1 only collects the level-1 vocabulary; counts accrue in pass 2.
-        prepass = _Builder(1)
-        for t, active in log.bins:
-            if not active.is_empty:
-                prepass.process_bin(t, active, config.decomposition, config.keep_union_words)
-        for constituents, _ in prepass.levels[0]:
-            builder.register(1, constituents)
+        prepass = _Builder(replace(config, max_level=1))
+        for t, active in bins:
+            prepass.process_bin(t, active)
+        for mask in prepass.ids[0] if prepass.ids else ():
+            builder.register(1, mask)
+    for t, active in bins:
+        builder.process_bin(t, active)
 
-    for t, active in log.bins:
-        if not active.is_empty:
-            builder.process_bin(t, active, config.decomposition, config.keep_union_words)
-
-    # Prune by count, reindexing per level; an orphan would raise at remap[c].
+    # Prune by count, reindexing per level (remap keeps order); an orphan
+    # would raise at remap[c].
+    # A level left empty leaves every level above it empty too.
     levels: list[tuple[Bond, ...]] = []
     remap: dict[int, int] = {}
-    for lvl0, bonds in enumerate(builder.levels):
-        level = lvl0 + 1
+    for level, (table, bond_bins) in enumerate(zip(builder.ids, builder.bins), start=1):
         survivors: list[Bond] = []
         new_remap: dict[int, int] = {}
-        for bid, (constituents, bins) in enumerate(bonds):
-            if len(bins) < config.min_count:
+        for bid, (mask, seen) in enumerate(zip(table, bond_bins)):
+            if len(seen) < config.min_count:
                 continue
-            if level >= 2:
-                constituents = tuple(remap[c] for c in constituents)  # remap keeps order
+            constituents = members(mask) if level == 1 else (remap[c] for c in members(mask))
             new_remap[bid] = len(survivors)
             survivors.append(
-                Bond(
-                    id=len(survivors),
-                    level=level,
-                    constituents=constituents,
-                    count=len(bins),
-                    bins=tuple(bins),
-                )
+                Bond(len(survivors), level, tuple(constituents), len(seen), tuple(seen))
             )
+        if not survivors:
+            break
         remap = new_remap
         levels.append(tuple(survivors))
-    while levels and not levels[-1]:
-        levels.pop()
     return Hyperstructure(log.n, tuple(levels), config)
 
 

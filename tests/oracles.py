@@ -171,23 +171,30 @@ def frequency_values_naive(bonds, maximal, top_dim):
     return values
 
 
-def rebuild_pass_naive(bins, max_level=3, mode="exact-cover"):
+def rebuild_pass_naive(bins, max_level=3, mode="exact-cover", two_pass=False, keep_union=False):
     """Straight re-implementation of the per-bin detection rule.
 
     ``bins`` is a list of (bin_index, frozenset-of-neurons).  Returns the
-    levels as lists of (constituents, count) in registration order.  A bin
-    realizes, under ``mode`` "exact-cover", a largest-first greedy cover of
-    its active set by known patterns, and under "subset-realization" every
-    known pattern inside its active set; realizing nothing makes the active
-    set a new pattern.
+    levels as lists of (constituents, count, bins) in registration order.
+    A bin realizes, under ``mode`` "exact-cover", a largest-first greedy
+    cover of its active set by known patterns, and under
+    "subset-realization" every known pattern inside its active set;
+    realizing nothing makes the active set a new pattern.  With
+    ``keep_union``, an exact cover by two or more patterns makes the active
+    set a pattern too.  With ``two_pass``, a first pass with one level
+    collects the patterns, which the second pass knows from its start.
     """
     levels = [[] for _ in range(max_level)]  # entries: [constituents, count, bins]
+    if two_pass:
+        vocabulary = rebuild_pass_naive(bins, 1, mode, keep_union=keep_union)[0]
+        levels[0] = [[constituents, 0, []] for constituents, _, _ in vocabulary]
 
     def find(level, constituents):
         for idx, entry in enumerate(levels[level - 1]):
             if entry[0] == constituents:
                 return idx
-        return None
+        levels[level - 1].append([constituents, 0, []])
+        return len(levels[level - 1]) - 1
 
     for t, active in bins:
         if not active:
@@ -207,13 +214,8 @@ def rebuild_pass_naive(bins, max_level=3, mode="exact-cover"):
                 chosen = []
         else:
             chosen = [idx for idx, members in enumerate(known) if set(members) <= active]
-        if not chosen:
-            constituents = tuple(sorted(active))
-            idx = find(1, constituents)
-            if idx is None:
-                levels[0].append([constituents, 0, []])
-                idx = len(levels[0]) - 1
-            chosen = [idx]
+        if not chosen or (keep_union and mode == "exact-cover" and len(chosen) > 1):
+            chosen.append(find(1, tuple(sorted(active))))
         realized = set(chosen)
         for bid in realized:
             entry = levels[0][bid]
@@ -223,11 +225,7 @@ def rebuild_pass_naive(bins, max_level=3, mode="exact-cover"):
         for lvl in range(1, max_level):
             if len(realized) < 2:
                 break
-            key = tuple(sorted(realized))
-            idx = find(lvl + 1, key)
-            if idx is None:
-                levels[lvl].append([key, 0, []])
-                idx = len(levels[lvl]) - 1
+            idx = find(lvl + 1, tuple(sorted(realized)))
             nxt = {
                 bid
                 for bid, entry in enumerate(levels[lvl])
@@ -240,7 +238,7 @@ def rebuild_pass_naive(bins, max_level=3, mode="exact-cover"):
                     entry[1] += 1
                     entry[2].append(t)
             realized = nxt
-    return [[(tuple(e[0]), e[1]) for e in lvl] for lvl in levels]
+    return [[(tuple(e[0]), e[1], tuple(e[2])) for e in lvl] for lvl in levels]
 
 
 def downset_naive(levels, i, bond, j):

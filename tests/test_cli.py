@@ -658,6 +658,22 @@ def test_nerve_memory_grows_with_bonds_times_neurons(tmp_path, command):
         )
 
 
+def test_build_max_level_is_only_an_upper_bound(tmp_path):
+    # the builder makes a level when a bin first reaches it, so a bound far
+    # above the levels a log reaches costs nothing
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps({"n": 3, "bins": [[0, [0, 1]], [1, [0, 1, 2]]]}))
+    artifacts = []
+    for bound in ("3", "100000000"):
+        hs = tmp_path / f"hs-{bound}.json"
+        r = _limited_cli("build", str(log), "--max-level", bound, "-o", str(hs))
+        assert r.returncode == 0, r.stderr
+        artifact = json.loads(hs.read_text())
+        assert artifact["config"].pop("max_level") == int(bound)
+        artifacts.append(artifact)
+    assert artifacts[0] == artifacts[1]
+
+
 def test_synth_empty_schedule_too_many_rows_is_one_error_line(tmp_path):
     # n x 0 cells, but n row lists: under the cap, an unchecked spec runs out of memory
     spec = tmp_path / "spec.json"

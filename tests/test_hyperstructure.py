@@ -87,10 +87,10 @@ class TestBuild:
         # independent brute-force re-implementation of the pass agrees
         naive = rebuild_pass_naive([(t, frozenset(s)) for t, s in enumerate(bins)])
         assert [len(l) for l in naive] == [3, 4, 1]
-        assert {(c, cnt) for c, cnt in naive[0]} == {
+        assert {(c, cnt) for c, cnt, _ in naive[0]} == {
             (b.constituents, b.count) for b in hs.level(1)
         }
-        assert {(c, cnt) for c, cnt in naive[1]} == {
+        assert {(c, cnt) for c, cnt, _ in naive[1]} == {
             (b.constituents, b.count) for b in hs.level(2)
         }
 
@@ -224,18 +224,19 @@ assembly_bins_strategy = st.lists(
     st.one_of(bins_strategy, assembly_bins_strategy),
     st.sampled_from(["exact-cover", "subset-realization"]),
     st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
 )
 @settings(max_examples=500, deadline=None)
-def test_build_matches_naive_pass(bins, mode, max_level):
-    hs = build_hyperstructure(
-        _log(bins, 7), BuildConfig(max_level=max_level, decomposition=mode)
-    )
+def test_build_matches_naive_pass(bins, mode, max_level, two_pass, keep_union):
+    config = BuildConfig(max_level, mode, 1, two_pass, keep_union)
+    hs = build_hyperstructure(_log(bins, 7), config)
     naive = rebuild_pass_naive(
-        [(t, frozenset(s)) for t, s in enumerate(bins)], max_level, mode
+        [(t, frozenset(s)) for t, s in enumerate(bins)], max_level, mode, two_pass, keep_union
     )
     while naive and not naive[-1]:
         naive.pop()
-    assert [[(b.constituents, b.count) for b in level] for level in hs.levels] == naive
+    assert [[(b.constituents, b.count, b.bins) for b in level] for level in hs.levels] == naive
 
 
 @given(
@@ -283,7 +284,7 @@ def test_max_level_1_equals_realize_outputs(bins):
     log = _log(bins, 7)
     hs = build_hyperstructure(log, BuildConfig(max_level=1))
     (naive,) = rebuild_pass_naive([(t, frozenset(active)) for t, active in log.bins], max_level=1)
-    assert [(b.constituents, b.count) for b in (hs.level(1) if hs.k else ())] == naive
+    assert [(b.constituents, b.count, b.bins) for b in (hs.level(1) if hs.k else ())] == naive
 
 
 @given(bins_strategy)
