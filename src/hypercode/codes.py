@@ -11,6 +11,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from hypercode.errors import ConfigError, DimensionError, ParseError
@@ -27,10 +28,11 @@ class Pattern:
         return cls(tuple(sorted(set(indices))))
 
     def __post_init__(self) -> None:
-        if any(i < 0 for i in self.members):
-            raise DimensionError(f"negative neuron index in {self.members}")
-        if list(self.members) != sorted(set(self.members)):
-            raise DimensionError(f"pattern members must be strictly sorted: {self.members}")
+        m = self.members
+        if m and min(m) < 0:
+            raise DimensionError(f"negative neuron index in {m}")
+        if not all(map(lt, m, m[1:])):
+            raise DimensionError(f"pattern members must be strictly sorted: {m}")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -118,29 +120,31 @@ class SimplicialComplex:
         return k
 
 
+_BINARY = frozenset(("0", "1"))
+
+
 def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple[int, OccurrenceLog]:
     """Parse a CSV spike matrix (rows = neurons, columns = time bins).
 
-    Cells must be 0 or 1; ragged rows are rejected.  Empty bins are
-    retained in the log with an empty active set.
+    Cells must be 0 or 1, with any surrounding whitespace; ragged rows are
+    rejected.  Empty bins are retained in the log with an empty active set.
     """
     if isinstance(text, str):
         text = io.StringIO(text)
-    rows: list[list[int]] = []
+    rows: list[list[str]] = []
     reader = csv.reader(text)
-    for rownum, raw in enumerate(reader):
+    for rownum, row in enumerate(reader):
         if header and rownum == 0:
             continue
-        if not raw:
+        if not row:
             continue
-        row = []
-        for colnum, cell in enumerate(raw):
-            cell = cell.strip()
-            if cell not in ("0", "1"):
-                raise ParseError(
-                    f"non-binary cell {cell!r} at row {len(rows)}, column {colnum}"
-                )
-            row.append(int(cell))
+        if not _BINARY.issuperset(row):
+            row = [cell.strip() for cell in row]
+            for colnum, cell in enumerate(row):
+                if cell not in _BINARY:
+                    raise ParseError(
+                        f"non-binary cell {cell!r} at row {len(rows)}, column {colnum}"
+                    )
         rows.append(row)
     if not rows:
         return 0, OccurrenceLog(0, ())
@@ -151,7 +155,8 @@ def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple
     n = len(rows)
     neurons = range(n)
     bins = tuple(
-        (j, Pattern(tuple(compress(neurons, column)))) for j, column in enumerate(zip(*rows))
+        (j, Pattern(tuple(compress(neurons, map("1".__eq__, column)))))
+        for j, column in enumerate(zip(*rows))
     )
     return n, OccurrenceLog(n, bins)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
+from itertools import islice
 from operator import or_
-from typing import Iterable
 
 from hypercode.codes import OccurrenceLog, _json_int, bitmask, members
 from hypercode.errors import BondLookupError, ConfigError, LevelRangeError, ParseError
@@ -164,24 +164,22 @@ def _increasing(xs, what: str, universe: int | None = None) -> tuple[int, ...]:
     return out
 
 
-def _inside(table: Iterable[int], mask: int) -> list[int]:
-    """Ids, ascending, of the masks in ``table`` (listed by id) that lie inside ``mask``."""
-    return [i for i, m in enumerate(table) if m & mask == m]
-
-
 class _Builder:
     """Mutable working state for one chronological pass.
 
     ``ids`` has one dict per level that a bin has reached.  It maps each
     bond's constituents as a bitmask (neuron bits at level 1, lower-level
     bond ids above) to the bond's id, in first-sighting order; ``bins``
-    lists each bond's bins by id.
+    lists each bond's bins by id.  ``found`` has one dict per level too,
+    mapping each mask :meth:`inside` was asked about to the ids it found
+    and the table length it had seen then.
     """
 
     def __init__(self, config: BuildConfig):
         self.config = config
         self.ids: list[dict[int, int]] = []
         self.bins: list[list[list[int]]] = []
+        self.found: list[dict[int, tuple[list[int], int]]] = []
         # exact cover only: (-size, members, id, mask) per level-1 bond, sorted
         self.order: list[tuple] = []
 
@@ -189,6 +187,7 @@ class _Builder:
         if level > len(self.ids):
             self.ids.append({})
             self.bins.append([])
+            self.found.append({})
         table = self.ids[level - 1]
         bid = table.get(mask)
         if bid is None:
@@ -197,6 +196,23 @@ class _Builder:
             if level == 1 and self.config.decomposition == "exact-cover":
                 bisect.insort(self.order, (-mask.bit_count(), tuple(members(mask)), bid, mask))
         return bid
+
+    def inside(self, level: int, mask: int) -> list[int]:
+        """Ids, ascending, of the level's bonds whose masks lie inside ``mask``.
+
+        A repeated query scans only the bonds registered since the last
+        one; their ids are larger, so the answer stays ascending.  The
+        list returned is the caller's to change.
+        """
+        if level > len(self.ids):
+            return []
+        table, memo = self.ids[level - 1], self.found[level - 1]
+        found, seen = memo.get(mask) or ([], 0)
+        if seen < len(table):
+            new = enumerate(islice(table, seen, None), seen)
+            found.extend(i for i, m in new if m & mask == m)
+            memo[mask] = (found, len(table))
+        return found.copy()
 
     def process_bin(self, t: int, active: int) -> None:
         """Record bin ``t``, whose active neurons are the bits of ``active``.
@@ -209,7 +225,7 @@ class _Builder:
         """
         exact = self.config.decomposition == "exact-cover"
         if not exact:
-            realized = _inside(self.ids[0] if self.ids else (), active)
+            realized = self.inside(1, active)
         else:
             realized, remaining = [], active
             for _, _, i, m in self.order:
@@ -231,7 +247,7 @@ class _Builder:
             # the new bond's mask is the mask of ``current``, so it lies inside
             mask = bitmask(current)
             self.register(level + 1, mask)
-            current = _inside(self.ids[level], mask)
+            current = self.inside(level + 1, mask)
 
 
 def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) -> Hyperstructure:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles, deliberately naive.
 
 Nothing here imports the kernels or algorithms under test: dense GF(2)
-elimination, powerset face enumeration, and a straight re-implementation
-of the chronological detection pass.  The one name taken from
+elimination, powerset face enumeration, a per-cell spike-matrix parser,
+and a straight re-implementation of the chronological detection pass.  The one name taken from
 :mod:`hypercode` is the value type ``SimplicialComplex``, which
 ``generated_complex_naive`` builds so that tests can compare complexes
 directly.
@@ -10,6 +10,8 @@ directly.
 
 from __future__ import annotations
 
+import csv
+import io
 from itertools import combinations
 
 from hypercode.codes import SimplicialComplex
@@ -169,6 +171,32 @@ def frequency_values_naive(bonds, maximal, top_dim):
             vals = [c_max - count for members, count in bonds if set(s) <= set(members)]
             values[s] = float(min(vals)) if vals else 0.0
     return values
+
+
+def parse_spike_matrix_naive(text: str, header: bool = False):
+    """A CSV spike matrix read cell by cell: ``(n, [(bin, members)])``, or
+    ``(error class name, message)`` for the first fault a parser must report.
+
+    Each cell is stripped of whitespace and must then be 0 or 1; blank lines
+    (and, with ``header``, the first line) are skipped; rows of another
+    width than the first are ragged, reported only once every cell is read.
+    """
+    rows = []
+    for rownum, raw in enumerate(csv.reader(io.StringIO(text))):
+        if (header and rownum == 0) or not raw:
+            continue
+        row = []
+        for colnum, cell in enumerate(raw):
+            cell = cell.strip()
+            if cell not in ("0", "1"):
+                return "ParseError", f"non-binary cell {cell!r} at row {len(rows)}, column {colnum}"
+            row.append(int(cell))
+        rows.append(row)
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            return "DimensionError", f"ragged row {i}: {len(row)} cells, expected {len(rows[0])}"
+    columns = enumerate(zip(*rows))
+    return len(rows), [(j, tuple(i for i, c in enumerate(col) if c)) for j, col in columns]
 
 
 def rebuild_pass_naive(bins, max_level=3, mode="exact-cover", two_pass=False, keep_union=False):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hypercode.codes import (
     OccurrenceLog,
@@ -13,12 +13,12 @@ from hypercode.codes import (
     parse_spike_matrix,
     strong_collapse,
 )
-from hypercode.errors import ConfigError, DimensionError, ParseError
+from hypercode.errors import ConfigError, DimensionError, HypercodeError, ParseError
 from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hyperstructure
 from hypercode.topology import level_complex
 
 from conftest import TRIAD_CSV
-from oracles import maximal_naive
+from oracles import maximal_naive, parse_spike_matrix_naive
 
 
 def _support(word: str) -> tuple[int, ...]:
@@ -125,6 +125,70 @@ def test_parse_render_roundtrip(rows):
     assert [(j, p.members) for j, p in log.bins] == [
         (j, tuple(i for i, row in enumerate(rows) if row[j])) for j in range(len(rows[0]))
     ]
+
+
+BAD_CELLS = ["2", "", "x", "10", "-1", "1 1", "1.0"]
+
+
+@st.composite
+def spike_matrix_texts(draw):
+    """A 0/1 matrix as CSV text with padded cells, LF or CRLF line ends, blank
+    lines and an optional header, and at most one bad cell or ragged row."""
+    rows = draw(
+        st.tuples(st.integers(0, 5), st.integers(1, 6)).flatmap(
+            lambda shape: st.lists(
+                st.lists(st.sampled_from("01"), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            )
+        )
+    )
+    fault = draw(st.sampled_from(["none", "cell", "ragged"])) if rows else "none"
+    if fault != "none":
+        r = draw(st.integers(0, len(rows) - 1))
+        if fault == "cell":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        elif len(rows[r]) > 1 and draw(st.booleans()):
+            rows[r].pop()
+        else:
+            rows[r].append("1")
+    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+    lines = [",".join(draw(pad) + cell + draw(pad) for cell in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(f"t{j}" for j in range(len(rows[0]) if rows else 1)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), header
+
+
+@given(spike_matrix_texts())
+@settings(max_examples=300)
+def test_parse_matches_per_cell_oracle(case):
+    text, header = case
+    try:
+        n, log = parse_spike_matrix(text, header)
+    except HypercodeError as exc:
+        got = (type(exc).__name__, str(exc))
+    else:
+        got = (n, [(j, p.members) for j, p in log.bins])
+    assert got == parse_spike_matrix_naive(text, header)
+
+
+@given(st.lists(st.integers(-3, 8), max_size=6).map(tuple))
+def test_pattern_rejects_exactly_negative_or_unsorted(members):
+    if any(i < 0 for i in members):
+        expected = f"negative neuron index in {members}"
+    elif any(a >= b for a, b in zip(members, members[1:])):
+        expected = f"pattern members must be strictly sorted: {members}"
+    else:
+        expected = members
+    try:
+        got = Pattern(members).members
+    except DimensionError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def test_bin_event_boundary():

@@ -184,6 +184,26 @@ class TestQueries:
         assert forms_a == forms_b
 
 
+@pytest.mark.parametrize(
+    "bins, level1, level2",
+    [
+        ([{0, 1, 2}, {0}, {0, 1, 2}, {0}], [((0, 1, 2), (0, 2)), ((0,), (1, 2, 3))], (2,)),
+        ([{0}, {0, 1, 2}, {1}, {0, 1, 2}], [((0,), (0, 1, 3)), ((1,), (2, 3))], (3,)),
+    ],
+    ids=["bond-inside-after-first-sighting", "bond-inside-after-repeat"],
+)
+def test_repeated_subset_query_sees_bonds_registered_since(bins, level1, level2):
+    """A bin whose active set was queried before realizes the bonds that
+    registered in between, and so reaches level 2."""
+    hs = build_hyperstructure(_log(bins, 3), BuildConfig(decomposition="subset-realization"))
+    assert [(b.constituents, b.bins) for b in hs.level(1)] == level1
+    assert [(b.constituents, b.bins) for b in hs.level(2)] == [((0, 1), level2)]
+    naive = rebuild_pass_naive(
+        [(t, frozenset(s)) for t, s in enumerate(bins)], mode="subset-realization"
+    )
+    assert [[(b.constituents, b.count, b.bins) for b in level] for level in hs.levels] == naive[:2]
+
+
 # -- invariants -------------------------------------------------------------
 
 bins_strategy = st.lists(
@@ -227,6 +247,8 @@ assembly_bins_strategy = st.lists(
     st.booleans(),
     st.booleans(),
 )
+@example([{0, 1, 2}, {0}, {0, 1, 2}, {0}], "subset-realization", 2, False, False)
+@example([{0}, {0, 1, 2}, {1}, {0, 1, 2}], "subset-realization", 2, False, False)
 @settings(max_examples=500, deadline=None)
 def test_build_matches_naive_pass(bins, mode, max_level, two_pass, keep_union):
     config = BuildConfig(max_level, mode, 1, two_pass, keep_union)
