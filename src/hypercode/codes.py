@@ -10,16 +10,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import compress
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from hypercode.errors import ConfigError, DimensionError, ParseError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Pattern:
-    """A sorted, duplicate-free set of neuron indices."""
+    """A sorted, duplicate-free set of neuron indices, as a SynthSpec pattern."""
 
     members: tuple[int, ...]
 
@@ -34,23 +33,14 @@ class Pattern:
         if not all(map(lt, m, m[1:])):
             raise DimensionError(f"pattern members must be strictly sorted: {m}")
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
 
 @dataclass(frozen=True)
 class OccurrenceLog:
-    """Binned firing record: which neurons were active in each time bin."""
+    """Binned firing record: per bin, its index and the bitmask of its
+    active neurons (bit i = neuron i; see :func:`bitmask`)."""
 
     n: int
-    bins: tuple[tuple[int, Pattern], ...]
+    bins: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -60,9 +50,11 @@ class OccurrenceLog:
             if idx <= prev:
                 raise DimensionError("bin indices must be strictly increasing")
             prev = idx
-            if active.members and active.members[-1] >= self.n:
+            if active < 0:
+                raise DimensionError(f"negative neuron mask {active}")
+            if active.bit_length() > self.n:
                 raise DimensionError(
-                    f"neuron {active.members[-1]} out of range for n={self.n}"
+                    f"neuron {active.bit_length() - 1} out of range for n={self.n}"
                 )
 
 
@@ -127,7 +119,7 @@ def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple
     """Parse a CSV spike matrix (rows = neurons, columns = time bins).
 
     Cells must be 0 or 1, with any surrounding whitespace; ragged rows are
-    rejected.  Empty bins are retained in the log with an empty active set.
+    rejected.  Empty bins are retained in the log with an empty mask.
     """
     if isinstance(text, str):
         text = io.StringIO(text)
@@ -153,11 +145,8 @@ def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple
         if len(row) != width:
             raise DimensionError(f"ragged row {i}: {len(row)} cells, expected {width}")
     n = len(rows)
-    neurons = range(n)
-    bins = tuple(
-        (j, Pattern(tuple(compress(neurons, map("1".__eq__, column)))))
-        for j, column in enumerate(zip(*rows))
-    )
+    # rows bottom up, so that each column reads as its mask in binary
+    bins = tuple((j, int("".join(column), 2)) for j, column in enumerate(zip(*rows[::-1])))
     return n, OccurrenceLog(n, bins)
 
 
@@ -175,7 +164,7 @@ def bin_event_list(
     """
     if not 0 < dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
-    binned: dict[int, set[int]] = {}
+    binned: dict[int, int] = {}
     for neuron, t in events:
         if not 0 <= neuron < n:
             raise DimensionError(f"neuron id {neuron} out of range for n={n}")
@@ -184,8 +173,8 @@ def bin_event_list(
         k = t // dt
         if k == math.inf:
             raise DimensionError(f"bin index of timestamp {t} at dt={dt} is not finite")
-        binned.setdefault(int(k), set()).add(neuron)
-    return OccurrenceLog(n, tuple((k, Pattern.of(binned[k])) for k in sorted(binned)))
+        binned[int(k)] = binned.get(int(k), 0) | 1 << neuron
+    return OccurrenceLog(n, tuple(sorted(binned.items())))
 
 
 def bitmask(ids: Iterable[int]) -> int:
@@ -250,9 +239,9 @@ def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
 
 
 def strong_collapse(
-    valued: Iterable[tuple[tuple[int, ...], float]],
-) -> list[tuple[tuple[int, ...], float]]:
-    """Strong-collapse a filtration given by its (simplex, value) generators.
+    valued: Iterable[tuple[int, float]],
+) -> tuple[list[tuple[int, float]], dict[int, int]]:
+    """Strong-collapse a filtration given by its (mask, value) generators.
 
     Every face of a generator enters at the smallest value of a generator
     containing it.  A vertex v is dominated in every sublevel complex at
@@ -267,9 +256,10 @@ def strong_collapse(
     deletes a vertex.  A pass tests every vertex in turn against the masks
     as the pass has left them, so of two vertices in the same generators
     only one goes.  The collapse stops after a pass that deletes nothing.
-    Returns the surviving generators.
+    Returns the surviving generators and their vertices' bond sets, as
+    :func:`_maximal` does.
     """
-    kept, bonds = _maximal((bitmask(s), value) for s, value in valued)
+    kept, bonds = _maximal(valued)
     while True:
         masks = [mask for mask, _ in kept]
         deleted = False
@@ -284,14 +274,14 @@ def strong_collapse(
                 for g in members(row):
                     masks[g] ^= bit
         if not deleted:
-            return [(tuple(members(mask)), value) for mask, value in kept]
+            return kept, bonds
         kept, bonds = _maximal(zip(masks, (value for _, value in kept)))
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:
     return {
         "n": log.n,
-        "bins": [[idx, list(active.members)] for idx, active in log.bins],
+        "bins": [[idx, list(members(active))] for idx, active in log.bins],
     }
 
 
@@ -305,9 +295,18 @@ def log_from_json_obj(obj: dict) -> OccurrenceLog:
     try:
         n = _json_int(obj["n"], "n")
         bins = tuple(
-            (_json_int(idx, "bin index"), Pattern.of(_json_int(i, "neuron id") for i in members))
-            for idx, members in obj["bins"]
+            (_json_int(idx, "bin index"), _neuron_mask(ids, n)) for idx, ids in obj["bins"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed log JSON: {exc}") from exc
     return OccurrenceLog(n, bins)
+
+
+def _neuron_mask(ids, n: int) -> int:
+    """The mask of a JSON neuron id list, each id range-checked before its shift."""
+    ids = {_json_int(i, "neuron id") for i in ids}
+    if ids and min(ids) < 0:
+        raise DimensionError(f"negative neuron index in {tuple(sorted(ids))}")
+    if ids and max(ids) >= n:
+        raise DimensionError(f"neuron {max(ids)} out of range for n={n}")
+    return bitmask(ids)

@@ -3,13 +3,15 @@
 A filtration is stored as its generators: (simplex, value) pairs, every
 face of which enters at the smallest value of a generator containing it
 (the bonds for ``frequency_filtration``, the maximal simplices at one
-value for ``betti``).  ``persistence`` first strong-collapses them
-(:func:`hypercode.codes.strong_collapse`) unless it keeps zero-length
-bars; ``_Generators`` indexes what is left as bitmasks, ``_faces``
-enumerates the faces of the column dimensions, and ``persistence``, the
-only reduction (coboundary, bottom up, with clearing; inner loop in
-:mod:`hypercode._gf2`), generates a column's cofaces from the generators
-only when the kernel needs them.  Betti numbers are its infinite bars.
+value for ``betti``).  As bitmasks (bit i = vertex i), they are
+strong-collapsed (:func:`hypercode.codes.strong_collapse`), or only
+filtered by :func:`hypercode.codes._maximal` where ``persistence`` keeps
+zero-length bars; ``_Generators`` indexes what is left by the vertex bond
+sets of that filter, ``_faces`` enumerates the faces of the column
+dimensions, and ``persistence``, the only reduction (coboundary, bottom
+up, with clearing; inner loop in :mod:`hypercode._gf2`), generates a
+column's cofaces from the generators only when the kernel needs them.
+Betti numbers are its infinite bars.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, repeat
 from operator import itemgetter, or_
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from hypercode import _gf2
-from hypercode.codes import SimplicialComplex, members, strong_collapse
+from hypercode.codes import SimplicialComplex, _maximal, bitmask, members, strong_collapse
 from hypercode.errors import ConfigError, DimCapError
 from hypercode.hyperstructure import Hyperstructure, level_generators
 
@@ -59,7 +61,7 @@ class Filtration:
     Every face of a generator, up to dimension ``top``, enters at the
     smallest value of a generator containing it, so no face enters after
     a coface.  ``simplices`` and ``values`` list those faces in (value,
-    dim, lex) order, enumerated from the generators on each read.
+    dim, descending mask) order, enumerated from the generators on each read.
     ``persistence`` reduces the columns of dimensions 0..top, their
     cofaces generated one dimension up; on a ``truncated`` filtration,
     whose ``top`` is a dim cap below its generators' dimension, it stops
@@ -72,7 +74,7 @@ class Filtration:
 
     @property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
-        """Every simplex in (value, dim, lex) order, as is ``values``."""
+        """Every simplex in (value, dim, descending mask) order, as is ``values``."""
         return tuple(s for _, s in self._flat())
 
     @property
@@ -80,7 +82,7 @@ class Filtration:
         return tuple(v for v, _ in self._flat())
 
     def _flat(self):
-        gens = _Generators(self.generators)
+        gens = _generators(self.generators, collapse=False)
         levels = (keys[::-1] for keys in _faces(gens, self.top))  # oldest first
         # merge breaks value ties by argument order: lower dimensions first
         return heapq.merge(
@@ -89,48 +91,45 @@ class Filtration:
         )
 
 
+def _generators(generators, collapse: bool) -> "_Generators":
+    valued = ((bitmask(s), value) for s, value in generators)
+    return _Generators(*(strong_collapse if collapse else _maximal)(valued))
+
+
 class _Generators:
     """A filtration's generators as bitmasks, indexed for (co)face lookup.
 
-    A simplex is a vertex bitmask with vertex 0 in the highest bit, so int
-    order is reverse-lex order.  Generator g, in value order, is bit g of
-    a bond set, and ``inc`` maps each vertex bit to the bond set of the
-    generators containing it, so the generators containing sigma are the
-    AND of its vertices' rows.  The key of a simplex is (rank of its value
-    counted from the top) << n | mask: a larger key is an older simplex in
-    (value, lex) order, so the kernel's low, the largest key, is the
-    oldest coface.
+    Bit i of a mask is vertex i.  The generators, in value order, and
+    ``inc``, each vertex's bond set (bit g for generator g), come from
+    :func:`hypercode.codes._maximal` or its strong collapse, so the
+    generators containing sigma are the AND of its vertices' rows.  The
+    key of a simplex is (rank of its value counted from the top) << n |
+    mask: a larger key is an older simplex in (value, descending mask)
+    order, so the kernel's low, the largest key, is the oldest coface.
     """
 
-    def __init__(self, valued: Iterable[tuple[tuple[int, ...], float]]):
-        valued = sorted(valued, key=itemgetter(1))
-        self.n = n = max((v + 1 for s, _ in valued for v in s), default=0)
+    def __init__(self, kept: list[tuple[int, float]], inc: dict[int, int]):
+        self.masks = [mask for mask, _ in kept]
+        self.n = n = max((mask.bit_length() for mask in self.masks), default=0)
         self.vertices = (1 << n) - 1
-        self.values = sorted({value for _, value in valued}, reverse=True)  # by rank
+        self.values = sorted({value for _, value in kept}, reverse=True)  # by rank
         rank = {value: r for r, value in enumerate(self.values)}
-        self.bits = [tuple(1 << (n - 1 - v) for v in s) for s, _ in valued]
-        self.masks = [sum(bits) for bits in self.bits]
-        self.shifts = [rank[value] << n for _, value in valued]
-        self.all = (1 << len(valued)) - 1
-        self.inc: dict[int, int] = {}
-        self.exact: dict[int, int] = {}  # mask -> the generators equal to it
-        for g, (bits, mask) in enumerate(zip(self.bits, self.masks)):
-            for v in bits:
-                self.inc[v] = self.inc.get(v, 0) | 1 << g
-            self.exact[mask] = self.exact.get(mask, 0) | 1 << g
+        self.shifts = [rank[value] << n for _, value in kept]
+        self.inc = inc
+        self.exact = {mask: 1 << g for g, mask in enumerate(self.masks)}
 
     def value(self, key: int) -> float:
         return self.values[key >> self.n]
 
     def simplex(self, key: int) -> tuple[int, ...]:
-        return tuple(sorted(self.n - 1 - p for p in members(key & self.vertices)))
+        return tuple(members(key & self.vertices))
 
     def column(self, key: int):
         """sigma's coboundary column as the kernel's (low, rows) pair.
 
         The low, sigma's oldest coface, costs a few ANDs: the lowest-valued
         generators that contain sigma and have an extra vertex give its
-        value, and their smallest extra vertex its lex-first member.
+        value, and their largest extra vertex its largest mask.
         """
         sigma = key & self.vertices
         bonds = self._containing(sigma)
@@ -168,10 +167,10 @@ class _Generators:
 
     def _containing(self, sigma: int) -> int:
         """The bond set of the generators that strictly contain sigma."""
-        bonds, inc, rest = self.all, self.inc, sigma
+        bonds, inc, rest = -1, self.inc, sigma
         while rest:
             v = rest & -rest
-            bonds &= inc[v]
+            bonds &= inc[v.bit_length() - 1]
             rest ^= v
         return bonds & ~self.exact.get(sigma, 0)
 
@@ -183,8 +182,9 @@ def _faces(gens: _Generators, top: int) -> Iterator[list[int]]:
     for size in range(1, top + 2):
         level: dict[int, int] = {}
         # largest value first, so a smaller value overwrites: each face at its min
-        for bits, shift in zip(reversed(gens.bits), reversed(gens.shifts)):
-            if len(bits) >= size:
+        for mask, shift in zip(reversed(gens.masks), reversed(gens.shifts)):
+            if mask.bit_count() >= size:
+                bits = [1 << v for v in members(mask)]
                 level.update(zip(map(sum, combinations(bits, size)), repeat(shift)))
         yield sorted(map(or_, level, level.values()))
 
@@ -273,7 +273,7 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     every interval of dimension cap and above is dropped from its
     barcode, and a dimension above the collapsed generators has no faces.
     """
-    gens = _Generators(f.generators if keep_zero else strong_collapse(f.generators))
+    gens = _generators(f.generators, collapse=not keep_zero)
     value = gens.value
     intervals: list[tuple[int, float, float]] = []
     cleared: set[int] = set()  # keys of the pivots of delta_{d-1}

@@ -262,7 +262,7 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     """
     config = config or BuildConfig()
     config.validate()
-    bins = [(t, mask) for t, active in log.bins if (mask := bitmask(active))]
+    bins = [bt for bt in log.bins if bt[1]]
     builder = _Builder(config)
     if config.two_pass:
         # Pass 1 only collects the level-1 vocabulary; counts accrue in pass 2.

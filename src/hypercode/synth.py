@@ -89,7 +89,7 @@ def synth_generate(spec: SynthSpec) -> list[list[int]]:
     grid = [[0] * width for _ in range(spec.n)]
     for b, names in spec.schedule:
         for name in names:
-            for i in spec.patterns[name]:
+            for i in spec.patterns[name].members:
                 grid[i][b] = 1
     if spec.noise_rate > 0:
         rng = random.Random(spec.seed)

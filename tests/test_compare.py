@@ -3,14 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercode.codes import OccurrenceLog, Pattern
+from hypercode.codes import OccurrenceLog, bitmask
 from hypercode.compare import compare_levels
 from hypercode.errors import UniverseError
 from hypercode.hyperstructure import build_hyperstructure
 
 
 def _build(bins, n):
-    log = OccurrenceLog(n, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+    log = OccurrenceLog(n, tuple((t, bitmask(s)) for t, s in enumerate(bins)))
     return build_hyperstructure(log)
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercode.codes import Pattern, SimplicialComplex
+from hypercode.codes import SimplicialComplex, bitmask
 from hypercode.errors import DimCapError, LevelRangeError
 from hypercode.homology import (
     Filtration,
@@ -149,7 +149,7 @@ class TestFrequencyFiltration:
         from hypercode.codes import OccurrenceLog
 
         bins = [{0, 1}, {0, 1}, {2, 3}]
-        log = OccurrenceLog(4, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+        log = OccurrenceLog(4, tuple((t, bitmask(s)) for t, s in enumerate(bins)))
         from hypercode.hyperstructure import build_hyperstructure
 
         hs = build_hyperstructure(log, BuildConfig(min_count=2))
@@ -190,7 +190,7 @@ class TestFrequencyFiltration:
     st.sampled_from([1, 2, 5]),
 )
 def test_frequency_values_match_scan_oracle(bins, mode, cap):
-    log = OccurrenceLog(7, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+    log = OccurrenceLog(7, tuple((t, bitmask(s)) for t, s in enumerate(bins)))
     hs = build_hyperstructure(log, BuildConfig(decomposition=mode))
     for i in range(1, hs.k + 1):
         f = frequency_filtration(hs, i, dim_cap=cap)
@@ -270,7 +270,7 @@ def _recordings(draw):
 def test_persistence_every_level_matches_dense_oracle(bins, mode, max_level, cap, keep_zero):
     # cofaces generated from the bonds must pair as the dense reduction of
     # the listed faces does, at every level, below the cap when truncated
-    log = OccurrenceLog(7, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+    log = OccurrenceLog(7, tuple((t, bitmask(s)) for t, s in enumerate(bins)))
     hs = build_hyperstructure(log, BuildConfig(max_level=max_level, decomposition=mode))
     for i in range(1, hs.k + 1):
         f = frequency_filtration(hs, i, dim_cap=cap)

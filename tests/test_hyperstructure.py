@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypercode.codes import OccurrenceLog, Pattern, parse_spike_matrix
+from hypercode.codes import OccurrenceLog, bitmask, members, parse_spike_matrix
 from hypercode.errors import BondLookupError, ConfigError
 from hypercode.hyperstructure import (
     BuildConfig,
@@ -21,7 +21,7 @@ from oracles import rebuild_pass_naive
 
 
 def _log(bins, n):
-    return OccurrenceLog(n, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+    return OccurrenceLog(n, tuple((t, bitmask(s)) for t, s in enumerate(bins)))
 
 
 def _bond_by_form(hs, level, form):
@@ -305,7 +305,7 @@ def test_build_deterministic(bins):
 def test_max_level_1_equals_realize_outputs(bins):
     log = _log(bins, 7)
     hs = build_hyperstructure(log, BuildConfig(max_level=1))
-    (naive,) = rebuild_pass_naive([(t, frozenset(active)) for t, active in log.bins], max_level=1)
+    (naive,) = rebuild_pass_naive([(t, frozenset(members(active))) for t, active in log.bins], max_level=1)
     assert [(b.constituents, b.count, b.bins) for b in (hs.level(1) if hs.k else ())] == naive
 
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypercode.codes import Pattern, parse_spike_matrix
+from hypercode.codes import Pattern, members, parse_spike_matrix
 from hypercode.errors import ConfigError
 from hypercode.synth import MAX_CELLS, SynthSpec, matrix_to_csv, synth_generate
 
@@ -84,4 +84,4 @@ def test_json_roundtrip():
     grid = synth_generate(spec)
     n, log = parse_spike_matrix(matrix_to_csv(grid))
     assert n == 4
-    assert [p.members for _, p in log.bins] == [(0, 1), (2, 3), (0, 1, 2, 3)]
+    assert [tuple(members(p)) for _, p in log.bins] == [(0, 1), (2, 3), (0, 1, 2, 3)]

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypercode.codes import (
     OccurrenceLog,
-    Pattern,
     SimplicialComplex,
     bitmask,
     members,
@@ -51,7 +50,7 @@ from oracles import (
 
 
 def _log(bins, n):
-    return OccurrenceLog(n, tuple((t, Pattern.of(s)) for t, s in enumerate(bins)))
+    return OccurrenceLog(n, tuple((t, bitmask(s)) for t, s in enumerate(bins)))
 
 
 def _form_id(hs, level, form):
