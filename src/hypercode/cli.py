@@ -280,11 +280,7 @@ def persist(hs_path, level, dim_cap, keep_zero, output):
 def compare(a_path, b_path, fmt, with_nerve, output):
     """Compare two hyperstructures levelwise by canonical bond identity."""
     report = compare_levels(_load_hs(a_path), _load_hs(b_path), with_nerve=with_nerve)
-    text = (
-        json.dumps(report.to_json_obj(), indent=2) + "\n"
-        if fmt == "json"
-        else report.to_table()
-    )
+    text = _json_text(report.to_json_obj()) if fmt == "json" else report.to_table()
     if output:
         Path(output).write_text(text)
     else:

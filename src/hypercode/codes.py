@@ -1,5 +1,5 @@
 """Raw data model: patterns, binned spike logs and their parsers, and simplicial
-complexes stored by their maximal simplices.
+complexes stored by their maximal simplices as vertex bitmasks.
 
 Neuron indices are 0-based throughout.
 """
@@ -60,56 +60,36 @@ class OccurrenceLog:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A complex stored by its inclusion-maximal simplices.
+    """A complex stored by its inclusion-maximal simplices, each a vertex
+    bitmask (bit i = vertex i; see :func:`bitmask`).
 
     ``vertex_labels`` is the ambient universe; only vertices occurring in
     some maximal simplex belong to the complex.  Faces are not stored:
     :mod:`hypercode.homology` enumerates them from the maximal simplices.
 
     The constructor trusts its caller that the simplices are pairwise
-    incomparable, and checks only that each is nonempty, sorted,
-    duplicate-free and indexes ``vertex_labels``.  Filter an arbitrary
-    family with :func:`maximal_sets` first; ``from_json_obj`` checks
-    maximality too.
+    incomparable (filter an arbitrary family with :func:`_maximal` first),
+    and checks only that each is nonempty and indexes ``vertex_labels``.
     """
 
     vertex_labels: tuple
-    maximal_simplices: frozenset[tuple[int, ...]]
+    maximal_simplices: frozenset[int]
 
     def __post_init__(self) -> None:
         n = len(self.vertex_labels)
-        for s in self.maximal_simplices:
-            if not s or list(s) != sorted(set(s)):
-                raise DimensionError(f"simplex must be nonempty, sorted and duplicate-free: {s}")
-            if s[0] < 0 or s[-1] >= n:
-                raise DimensionError(f"vertex index out of range 0..{n - 1} in {s}")
+        for mask in self.maximal_simplices:
+            if not 0 < mask < 1 << n:
+                raise DimensionError(f"simplex {mask} is not a nonempty mask of 0..{n - 1}")
 
     @property
     def dim(self) -> int:
-        if not self.maximal_simplices:
-            return -1
-        return max(len(s) for s in self.maximal_simplices) - 1
+        return max((mask.bit_count() for mask in self.maximal_simplices), default=0) - 1
 
     def to_json_obj(self) -> dict:
         return {
             "vertices": list(self.vertex_labels),
-            "maximal": sorted(list(s) for s in self.maximal_simplices),
+            "maximal": sorted(list(members(mask)) for mask in self.maximal_simplices),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
-        try:
-            labels = tuple(tuple(v) if isinstance(v, list) else v for v in obj["vertices"])
-            sims = frozenset(
-                tuple(_json_int(i, "vertex index") for i in s) for s in obj["maximal"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed complex JSON: {exc}") from exc
-        k = cls(labels, sims)
-        extra = sims - maximal_sets(sims)
-        if extra:
-            raise DimensionError(f"simplex {min(extra)} is not inclusion-maximal")
-        return k
 
 
 _BINARY = frozenset(("0", "1"))
@@ -222,20 +202,6 @@ def _maximal(
                 bonds[v] = bonds.get(v, 0) | 1 << len(kept)
             kept.append((mask, value))
     return kept, bonds
-
-
-def maximal_sets(family: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Inclusion-maximal members of a family of sorted index tuples.
-
-    The empty tuple is dropped; a negative index raises DimensionError.
-    This is :func:`_maximal` with one value for every member.
-    """
-    family = set(family)
-    for s in family:
-        if s and s[0] < 0:
-            raise DimensionError(f"negative index in {s}")
-    kept, _ = _maximal((bitmask(s), 0) for s in family)
-    return {tuple(members(mask)) for mask, _ in kept}
 
 
 def strong_collapse(

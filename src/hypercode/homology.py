@@ -1,12 +1,12 @@
 """GF(2) simplicial homology, frequency filtrations and persistence barcodes.
 
-A filtration is stored as its generators: (simplex, value) pairs, every
-face of which enters at the smallest value of a generator containing it
-(the bonds for ``frequency_filtration``, the maximal simplices at one
-value for ``betti``).  As bitmasks (bit i = vertex i), they are
-strong-collapsed (:func:`hypercode.codes.strong_collapse`), or only
-filtered by :func:`hypercode.codes._maximal` where ``persistence`` keeps
-zero-length bars; ``_Generators`` indexes what is left by the vertex bond
+A filtration is stored as its generators: (mask, value) pairs, bit i of
+a mask for vertex i, every face of which enters at the smallest value of
+a generator containing it (the bonds for ``frequency_filtration``, the
+maximal simplices at one value for ``betti``).  They are strong-collapsed
+(:func:`hypercode.codes.strong_collapse`), or only filtered by
+:func:`hypercode.codes._maximal` where ``persistence`` keeps zero-length
+bars; ``_Generators`` indexes what is left by the vertex bond
 sets of that filter, ``_faces`` enumerates the faces of the column
 dimensions, and ``persistence``, the only reduction (coboundary, bottom
 up, with clearing; inner loop in :mod:`hypercode._gf2`), generates a
@@ -26,7 +26,7 @@ from operator import itemgetter, or_
 from typing import Iterator
 
 from hypercode import _gf2
-from hypercode.codes import SimplicialComplex, _maximal, bitmask, members, strong_collapse
+from hypercode.codes import SimplicialComplex, _maximal, members, strong_collapse
 from hypercode.errors import ConfigError, DimCapError
 from hypercode.hyperstructure import Hyperstructure, level_generators
 
@@ -58,17 +58,19 @@ def resolve_dim_cap(dim_cap: int | None = None) -> int:
 class Filtration:
     """A face-monotone value per simplex, stored as its generators.
 
+    A generator is a (mask, value) pair, bit i of the mask for vertex i.
     Every face of a generator, up to dimension ``top``, enters at the
     smallest value of a generator containing it, so no face enters after
-    a coface.  ``simplices`` and ``values`` list those faces in (value,
-    dim, descending mask) order, enumerated from the generators on each read.
+    a coface.  ``simplices`` and ``values`` list those faces, as sorted
+    vertex tuples, in (value, dim, descending mask) order, enumerated from
+    the generators on each read.
     ``persistence`` reduces the columns of dimensions 0..top, their
     cofaces generated one dimension up; on a ``truncated`` filtration,
     whose ``top`` is a dim cap below its generators' dimension, it stops
     below the cap.
     """
 
-    generators: tuple[tuple[tuple[int, ...], float], ...]
+    generators: tuple[tuple[int, float], ...]
     top: int
     truncated: bool  # top is a dim cap that some generator exceeds
 
@@ -92,8 +94,7 @@ class Filtration:
 
 
 def _generators(generators, collapse: bool) -> "_Generators":
-    valued = ((bitmask(s), value) for s, value in generators)
-    return _Generators(*(strong_collapse if collapse else _maximal)(valued))
+    return _Generators(*(strong_collapse if collapse else _maximal)(generators))
 
 
 class _Generators:
@@ -224,7 +225,7 @@ def betti(
             f"complex dimension {k.dim} exceeds dim_cap {cap}; "
             f"homology above dimension {cap - 1} unavailable"
         )
-    valued = tuple((s, 0.0) for s in k.maximal_simplices)
+    valued = tuple((mask, 0.0) for mask in k.maximal_simplices)
     bars = persistence(Filtration(valued, max_dim, False))
     return tuple(sum(math.isinf(e) for _, e in bars.in_dim(d)) for d in range(max_dim + 1))
 
@@ -244,8 +245,8 @@ def frequency_filtration(
     generators = level_generators(h, i)
     cap = resolve_dim_cap(dim_cap)
     c_max = max(count for _, count in generators)
-    top = max(len(s) for s, _ in generators) - 1
-    valued = tuple((s, float(c_max - count)) for s, count in generators)
+    top = max(mask.bit_count() for mask, _ in generators) - 1
+    valued = tuple((mask, float(c_max - count)) for mask, count in generators)
     return Filtration(valued, min(top, cap), top > cap)
 
 

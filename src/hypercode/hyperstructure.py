@@ -297,21 +297,22 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     return Hyperstructure(log.n, tuple(levels), config)
 
 
-def level_generators(h: Hyperstructure, i: int) -> list[tuple[tuple[int, ...], int]]:
-    """The (simplex, count) pairs that generate the level-i complex.
+def level_generators(h: Hyperstructure, i: int) -> list[tuple[int, int]]:
+    """The (mask, count) pairs that generate the level-i complex.
 
-    Its vertices are the level-(i-1) items (neurons at i = 1).  Each
-    level-i bond is a simplex at its own count; each level-(i-1) bond that
-    no level-i bond binds is an isolated vertex, counted as often as the
-    most frequent level-i bond so that it enters a frequency filtration
-    first.
+    Its vertices are the level-(i-1) items (neurons at i = 1), bit v of a
+    mask for vertex v.  Each level-i bond is its constituent mask, from
+    :func:`downsets`, at its own count; each level-(i-1) bond that no
+    level-i bond binds is an isolated vertex, counted as often as the most
+    frequent level-i bond so that it enters a frequency filtration first.
     """
     bonds = h.level(i)
-    generators = [(b.constituents, b.count) for b in bonds]
+    downs = downsets(h, i, i - 1)
+    generators = list(zip(downs, (b.count for b in bonds)))
     if i >= 2:
-        covered = {c for b in bonds for c in b.constituents}
         c_max = max(b.count for b in bonds)
-        generators.extend(((b.id,), c_max) for b in h.level(i - 1) if b.id not in covered)
+        unbound = (1 << h.width(i - 1)) - 1 & ~reduce(or_, downs)
+        generators.extend((1 << v, c_max) for v in members(unbound))
     return generators
 
 

@@ -11,7 +11,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, Sequence
 
-from hypercode.codes import SimplicialComplex, maximal_sets, members
+from hypercode.codes import SimplicialComplex, _maximal, members
 from hypercode.errors import CliqueBudgetError, CompositionError, ConfigError
 from hypercode.hyperstructure import Hyperstructure, downsets, level_generators
 
@@ -81,10 +81,8 @@ def level_complex(h: Hyperstructure, i: int) -> SimplicialComplex:
     it the level-i bonds, with each level-(i-1) bond they leave unbound as
     an isolated vertex.
     """
-    generators = level_generators(h, i)
-    return SimplicialComplex(
-        tuple(range(h.width(i - 1))), frozenset(maximal_sets(s for s, _ in generators))
-    )
+    kept, _ = _maximal((mask, 0) for mask, _ in level_generators(h, i))
+    return SimplicialComplex(tuple(range(h.width(i - 1))), frozenset(mask for mask, _ in kept))
 
 
 def gluing_graph(h: Hyperstructure, i: int, j: int) -> GluingGraph:
@@ -196,7 +194,7 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
     for i in sorted(cfg.include_levels or ()):
         h.level(i)
     labels: list[tuple[int, int]] = []
-    maximal: set[tuple[int, ...]] = set()
+    maximal: set[int] = set()
     for i in range(1, h.k + 1):
         if cfg.include_levels is not None and i not in cfg.include_levels:
             continue
@@ -206,6 +204,6 @@ def nerve(h: Hyperstructure, cfg: NerveConfig | None = None) -> SimplicialComple
         else:
             groups = _components(graph.adjacency)
         offset = len(labels)  # bond ids are positions within their level
-        maximal.update(tuple(offset + v for v in members(group)) for group in groups)
+        maximal.update(group << offset for group in groups)
         labels.extend((i, v) for v in graph.vertices)
     return SimplicialComplex(tuple(labels), frozenset(maximal))

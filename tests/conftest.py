@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypercode.codes import parse_spike_matrix
+from hypercode.codes import members, parse_spike_matrix
 from hypercode.hyperstructure import build_hyperstructure
 
 A = frozenset({0, 1, 2})
@@ -14,6 +14,11 @@ TRIAD_BINS = [A, B, C, A | B, B | C, A | C]
 def matrix_csv(n: int, bins) -> str:
     rows = ["".join("1" if r in col else "0" for col in bins) for r in range(n)]
     return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def maximal_tuples(k) -> frozenset[tuple[int, ...]]:
+    """A complex's maximal simplices as sorted vertex tuples, as the oracles list them."""
+    return frozenset(tuple(members(mask)) for mask in k.maximal_simplices)
 
 
 TRIAD_CSV = matrix_csv(9, TRIAD_BINS)

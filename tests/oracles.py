@@ -131,9 +131,8 @@ def maximal_naive(family) -> set[tuple[int, ...]]:
 
 def generated_complex_naive(family, n: int) -> SimplicialComplex:
     """Smallest complex on the vertices 0..n-1 containing every set of ``family``."""
-    return SimplicialComplex(
-        tuple(range(n)), frozenset(maximal_naive(tuple(sorted(s)) for s in family))
-    )
+    maximal = maximal_naive(tuple(sorted(s)) for s in family)
+    return SimplicialComplex(tuple(range(n)), frozenset(sum(1 << v for v in s) for s in maximal))
 
 
 def maximal_cliques_naive(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, ...]]:

@@ -23,7 +23,7 @@ from hypercode.hyperstructure import (
 from hypercode.synth import SynthSpec, matrix_to_csv, synth_generate
 from hypercode.topology import NerveConfig, level_complex, nerve
 
-from conftest import TRIAD_CSV, TRIAD_NO_T6_CSV
+from conftest import TRIAD_CSV, TRIAD_NO_T6_CSV, maximal_tuples
 from oracles import (
     betti_naive,
     count_at_naive,
@@ -60,10 +60,10 @@ def test_criterion_2_triad_nerve():
     level2 = tuple(
         i for i, (lvl, _) in enumerate(k.vertex_labels) if lvl == 2
     )
-    singles = {s for s in k.maximal_simplices if len(s) == 1}
+    singles = {s for s in maximal_tuples(k) if len(s) == 1}
     ok = (
         len(k.vertex_labels) == 6
-        and level2 in k.maximal_simplices
+        and level2 in maximal_tuples(k)
         and len(singles) == 3
         and len(k.maximal_simplices) == 4
         and betti(k, 2) == (4, 0, 0)
@@ -82,7 +82,7 @@ def test_criterion_3_homology_oracle():
             set(rng.sample(range(8), rng.randint(1, 4))) for _ in range(m)
         ]
         k = generated_complex_naive(maximal, 8)
-        if betti(k, 3) != betti_naive(sorted(k.maximal_simplices), 3):
+        if betti(k, 3) != betti_naive(sorted(maximal_tuples(k)), 3):
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 10.0
@@ -132,7 +132,7 @@ def test_criterion_5_euler_characteristic():
         complexes.append(level_complex(_random_weighted_hs(rng2, rng2.randint(2, 10)), 1))
     ok = all(
         sum((-1) ** d * b for d, b in enumerate(betti(k)))
-        == euler_characteristic_naive(k.maximal_simplices)
+        == euler_characteristic_naive(maximal_tuples(k))
         for k in complexes
     )
     _report(5, "Euler characteristic identity", ok)

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from hypercode.cli import cli
-from hypercode.codes import OccurrenceLog
+from hypercode.codes import OccurrenceLog, members
 from hypercode.homology import Barcode, barcodes_to_csv, frequency_filtration
 from hypercode.hyperstructure import BuildConfig, Hyperstructure, build_hyperstructure
 
@@ -629,7 +629,7 @@ def test_wide_bond_matches_dense_oracle(tmp_path):
     f = frequency_filtration(Hyperstructure.from_json_obj(_level1_artifact(cut)), 1)
     expected = [iv for iv in persistence_naive(f.simplices, f.values) if iv[2] > iv[1]]
     assert bars.read_text() == barcodes_to_csv([(1, Barcode(tuple(expected)))])
-    maximal = maximal_naive(s for s, _ in f.generators)
+    maximal = maximal_naive(tuple(members(mask)) for mask, _ in f.generators)
     assert betti.stdout == ",".join(map(str, betti_naive(list(maximal), 4))) + "\n"
 
 

@@ -7,12 +7,12 @@ from hypercode.codes import (
     OccurrenceLog,
     Pattern,
     SimplicialComplex,
+    _maximal,
     bin_event_list,
     bitmask,
     log_from_json_obj,
     log_to_json_obj,
     matrix_to_csv,
-    maximal_sets,
     members,
     parse_spike_matrix,
     strong_collapse,
@@ -21,7 +21,7 @@ from hypercode.errors import ConfigError, DimensionError, HypercodeError, ParseE
 from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hyperstructure
 from hypercode.topology import level_complex
 
-from conftest import TRIAD_CSV
+from conftest import TRIAD_CSV, maximal_tuples
 from oracles import maximal_naive, parse_spike_matrix_naive
 
 
@@ -117,6 +117,12 @@ REJECTED = {
         DimensionError,
     ),
     "generated-complex-past-n": (lambda: _generated_complex([Pattern((0, 3))], 3), DimensionError),
+    "complex-mask-empty": (lambda: SimplicialComplex((0, 1), frozenset({0})), DimensionError),
+    "complex-mask-negative": (lambda: SimplicialComplex((0, 1), frozenset({-1})), DimensionError),
+    "complex-mask-bit-at-n": (
+        lambda: SimplicialComplex((0, 1), frozenset({0b101})),
+        DimensionError,
+    ),
 }
 
 
@@ -272,17 +278,17 @@ def _generated_complex(patterns, n):
 
 def test_generated_complex_single_simplex():
     k = _generated_complex([Pattern((0, 1, 2))], 3)
-    assert k.maximal_simplices == frozenset({(0, 1, 2)})
+    assert maximal_tuples(k) == frozenset({(0, 1, 2)})
 
 
 def test_generated_complex_hollow_triangle():
     k = _generated_complex([Pattern((0, 1)), Pattern((1, 2)), Pattern((0, 2))], 3)
-    assert k.maximal_simplices == frozenset({(0, 1), (1, 2), (0, 2)})
+    assert maximal_tuples(k) == frozenset({(0, 1), (1, 2), (0, 2)})
 
 
 def test_generated_complex_absorbs_faces():
     k = _generated_complex([Pattern((0, 1)), Pattern((0, 1, 2))], 3)
-    assert k.maximal_simplices == frozenset({(0, 1, 2)})
+    assert maximal_tuples(k) == frozenset({(0, 1, 2)})
 
 
 @given(
@@ -293,7 +299,7 @@ def test_generated_complex_absorbs_faces():
 )
 def test_generated_complex_no_comparable_maximal(patterns):
     k = _generated_complex(patterns, 8)
-    sims = list(k.maximal_simplices)
+    sims = list(maximal_tuples(k))
     for a in sims:
         for b in sims:
             assert a == b or not set(a) <= set(b)
@@ -309,13 +315,9 @@ def test_generated_complex_no_comparable_maximal(patterns):
         max_size=30,
     )
 )
-def test_maximal_sets_matches_naive(family):
-    assert maximal_sets(family) == maximal_naive(family)
-
-
-def test_maximal_sets_rejects_negative_index():
-    with pytest.raises(DimensionError):
-        maximal_sets([(-1, 0)])
+def test_maximal_matches_naive(family):
+    kept, _ = _maximal((bitmask(s), 0) for s in family)
+    assert {tuple(members(mask)) for mask, _ in kept} == maximal_naive(family)
 
 
 @given(
@@ -337,33 +339,3 @@ def test_strong_collapse_leaves_nothing_to_collapse(family):
         assert s and not any(j != i and s <= t and w <= v for j, (t, w) in enumerate(sets))
     for x in set().union(*(s for s, _ in sets)):
         assert set.intersection(*(s for s, _ in sets if x in s)) == {x}
-
-
-def test_simplicial_complex_rejects_non_maximal_simplex():
-    # the loader checks maximality; the constructor trusts its caller
-    sims = [[0, 1], [0, 1, 2]]
-    with pytest.raises(DimensionError, match=r"\(0, 1\)"):
-        SimplicialComplex.from_json_obj({"vertices": [0, 1, 2], "maximal": sims})
-
-
-@pytest.mark.parametrize("simplex", [(1, 0), (0, 0), (-1,), (2,), ()])
-def test_simplicial_complex_rejects_bad_simplex(simplex):
-    with pytest.raises(DimensionError):
-        SimplicialComplex((0, 1), frozenset({simplex}))
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"maximal": [[0]]},
-        {"vertices": [0], "maximal": [["a"]]},
-        {"vertices": [0, 1], "maximal": [[0.5]]},
-        {"vertices": 3, "maximal": [[0]]},
-        {"vertices": [0], "maximal": 7},
-        [],
-        {"vertices": [0, 1], "maximal": [[True]]},
-    ],
-)
-def test_complex_loader_raises_parse_error(obj):
-    with pytest.raises(ParseError):
-        SimplicialComplex.from_json_obj(obj)

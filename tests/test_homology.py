@@ -20,6 +20,7 @@ from hypercode.codes import OccurrenceLog
 from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hyperstructure
 from hypercode.topology import level_complex
 
+from conftest import maximal_tuples
 from oracles import (
     betti_naive,
     count_at_naive,
@@ -87,7 +88,7 @@ class TestBetti:
 )
 def test_betti_matches_dense_oracle(maximal_sets):
     k = generated_complex_naive(maximal_sets, 8)
-    assert betti(k, 3) == betti_naive(sorted(k.maximal_simplices), 3)
+    assert betti(k, 3) == betti_naive(sorted(maximal_tuples(k)), 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,7 +104,7 @@ def test_betti_below_cap_matches_dense_oracle(maximal_sets, cap):
     # complexes may exceed the cap; beta_0..beta_{cap-1} need rank d_cap,
     # the dimension whose pivots clear columns one dimension down
     k = generated_complex_naive(maximal_sets, 8)
-    assert betti(k, cap - 1, dim_cap=cap) == betti_naive(sorted(k.maximal_simplices), cap - 1)
+    assert betti(k, cap - 1, dim_cap=cap) == betti_naive(sorted(maximal_tuples(k)), cap - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +118,7 @@ def test_betti_below_cap_matches_dense_oracle(maximal_sets, cap):
 def test_euler_characteristic(maximal_sets):
     k = generated_complex_naive(maximal_sets, 7)
     chi = sum((-1) ** d * b for d, b in enumerate(betti(k, k.dim)))
-    assert chi == euler_characteristic_naive(k.maximal_simplices)
+    assert chi == euler_characteristic_naive(maximal_tuples(k))
 
 
 def test_euler_characteristic_empty_and_above_cap():
@@ -197,7 +198,7 @@ def test_frequency_values_match_scan_oracle(bins, mode, cap):
         k = level_complex(hs, i)
         expected = frequency_values_naive(
             [(b.constituents, b.count) for b in hs.level(i)],
-            sorted(k.maximal_simplices),
+            sorted(maximal_tuples(k)),
             min(max(k.dim, 0), cap),
         )
         assert dict(zip(f.simplices, f.values)) == expected
@@ -312,7 +313,8 @@ def test_persistence_from_values_matches_dense_oracle(filtration, cap, keep_zero
     # keep_zero they are strong-collapsed first, and a face entering
     # before its cofaces must stay
     k, values = filtration
-    f = Filtration(tuple(values.items()), min(k.dim, cap), k.dim > cap)
+    generators = tuple((bitmask(s), value) for s, value in values.items())
+    f = Filtration(generators, min(k.dim, cap), k.dim > cap)
     assert f.simplices == tuple(sorted((s for s in values if len(s) <= cap + 1), key=values.get))
     expected = [
         (d, b, e)
@@ -324,7 +326,7 @@ def test_persistence_from_values_matches_dense_oracle(filtration, cap, keep_zero
 
 class TestPersistence:
     def test_single_vertex(self):
-        f = Filtration((((0,), 0.0),), 0, False)
+        f = Filtration(((0b1, 0.0),), 0, False)
         assert persistence(f).intervals == ((0, 0.0, math.inf),)
 
     def test_four_cycle_bars(self):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypercode.codes import (
     OccurrenceLog,
-    SimplicialComplex,
     bitmask,
     members,
 )
@@ -39,6 +38,7 @@ from hypercode.topology import (
     nerve,
 )
 
+from conftest import maximal_tuples
 from oracles import (
     betti_naive,
     compose_naive,
@@ -69,20 +69,20 @@ _CHAIN_BINS = _CHAIN + [set().union(*_CHAIN[a:b]) for a, b in [(0, 2), (1, 3), (
 class TestLevelComplex:
     def test_triad_level1_three_triangles(self, triad):
         k = level_complex(triad, 1)
-        assert k.maximal_simplices == frozenset({(0, 1, 2), (3, 4, 5), (6, 7, 8)})
-        assert betti_naive(sorted(k.maximal_simplices), 2) == (3, 0, 0)
+        assert maximal_tuples(k) == frozenset({(0, 1, 2), (3, 4, 5), (6, 7, 8)})
+        assert betti_naive(sorted(maximal_tuples(k)), 2) == (3, 0, 0)
 
     def test_triad_level2_hollow_triangle(self, triad):
         k = level_complex(triad, 2)
         assert len(k.vertex_labels) == 3
-        assert all(len(s) == 2 for s in k.maximal_simplices)
+        assert all(len(s) == 2 for s in maximal_tuples(k))
         assert len(k.maximal_simplices) == 3
-        assert betti_naive(sorted(k.maximal_simplices), 1) == (1, 1)
+        assert betti_naive(sorted(maximal_tuples(k)), 1) == (1, 1)
 
     def test_single_bond_edge(self):
         hs = build_hyperstructure(_log([{0, 1}], 2))
         k = level_complex(hs, 1)
-        assert k.maximal_simplices == frozenset({(0, 1)})
+        assert maximal_tuples(k) == frozenset({(0, 1)})
 
     def test_matches_generated_complex(self, triad):
         supports = [b.constituents for b in triad.level(1)]
@@ -93,7 +93,7 @@ class TestLevelComplex:
         bins = [{0, 1}, {2, 3}, {4, 5}, {0, 1, 2, 3}]
         hs = build_hyperstructure(_log(bins, 6))
         k = level_complex(hs, 2)
-        singletons = {s for s in k.maximal_simplices if len(s) == 1}
+        singletons = {s for s in maximal_tuples(k) if len(s) == 1}
         assert len(singletons) == 1
 
     def test_range_error(self, triad):
@@ -186,7 +186,7 @@ class TestNerve:
         k = nerve(triad)
         assert len(k.vertex_labels) == 6
         level2 = {i for i, (lvl, _) in enumerate(k.vertex_labels) if lvl == 2}
-        maximal = set(k.maximal_simplices)
+        maximal = set(maximal_tuples(k))
         assert tuple(sorted(level2)) in maximal
         assert sum(1 for s in maximal if len(s) == 1) == 3
         assert betti_naive(sorted(maximal), 2) == (4, 0, 0)
@@ -197,7 +197,7 @@ class TestNerve:
     def test_empty(self):
         hs = build_hyperstructure(OccurrenceLog(3, ()))
         k = nerve(hs)
-        assert k.vertex_labels == () and k.maximal_simplices == frozenset()
+        assert k.vertex_labels == () and maximal_tuples(k) == frozenset()
 
     def test_vertex_count_is_bond_count(self, triad):
         k = nerve(triad)
@@ -206,7 +206,7 @@ class TestNerve:
     def test_include_levels(self, triad):
         k = nerve(triad, NerveConfig(include_levels=frozenset({1})))
         assert len(k.vertex_labels) == 3
-        assert all(len(s) == 1 for s in k.maximal_simplices)
+        assert all(len(s) == 1 for s in maximal_tuples(k))
 
     @pytest.mark.parametrize("levels", [{7}, {0, -1}, {1, 3}])
     def test_include_levels_out_of_range(self, triad, levels):
@@ -221,7 +221,7 @@ class TestNerve:
         k = nerve(hs, NerveConfig(include_levels=frozenset({1})))
         g = gluing_graph(hs, 1, 0)
         edges = set(g.edges)
-        for s in k.maximal_simplices:
+        for s in maximal_tuples(k):
             labels = [k.vertex_labels[v][1] for v in s]
             for x in range(len(labels)):
                 for y in range(x + 1, len(labels)):
@@ -231,7 +231,7 @@ class TestNerve:
         for clique in max_cliques(g.adjacency, budget):
             s = tuple(members(clique))
             assert any(set(s) <= {k.vertex_labels[v][1] for v in m}
-                       for m in k.maximal_simplices
+                       for m in maximal_tuples(k)
                        if all(k.vertex_labels[v][0] == 1 for v in m))
 
     def test_connected_rule_downward_closure(self):
@@ -239,7 +239,7 @@ class TestNerve:
         hs = build_hyperstructure(_log(bins, 8))
         k = nerve(hs, NerveConfig(rule="connected", include_levels=frozenset({1})))
         rng = random.Random(7)
-        maximal = sorted(k.maximal_simplices)
+        maximal = sorted(maximal_tuples(k))
         faces = {s for m in maximal for s in _random_faces(m, rng)}
         for f in faces:
             assert any(set(f) <= set(m) for m in maximal)
@@ -253,8 +253,12 @@ class TestNerve:
             nerve(triad, NerveConfig(clique_budget=0))
 
     def test_json_roundtrip(self, triad):
-        k = nerve(triad)
-        assert SimplicialComplex.from_json_obj(json.loads(json.dumps(k.to_json_obj()))) == k
+        obj = json.loads(json.dumps(nerve(triad).to_json_obj()))
+        labels, maximal = nerve_naive([[b.constituents for b in bonds] for bonds in triad.levels])
+        assert obj == {
+            "vertices": [list(label) for label in labels],
+            "maximal": sorted(list(s) for s in maximal),
+        }
 
     def test_clique_budget(self):
         bins = [{0, 1}, {2, 3}]
@@ -268,7 +272,7 @@ class TestNerve:
         hs = build_hyperstructure(_log(bins, 5))
         k = nerve(hs, NerveConfig(include_levels=frozenset({2}), clique_budget=1))
         assert k.vertex_labels == ((2, 0), (2, 1))
-        assert k.maximal_simplices == frozenset({(0, 1)})
+        assert maximal_tuples(k) == frozenset({(0, 1)})
 
     @pytest.mark.parametrize("rule", NERVE_RULES)
     def test_clique_deeper_than_recursion_limit(self, rule):
@@ -277,7 +281,7 @@ class TestNerve:
         bonds = tuple(Bond(b, 1, (0, b + 1), 1, (b,)) for b in range(n))
         hs = Hyperstructure(n + 1, (bonds,), BuildConfig(max_level=1))
         k = nerve(hs, NerveConfig(rule=rule))
-        assert k.maximal_simplices == frozenset({tuple(range(n))})
+        assert maximal_tuples(k) == frozenset({tuple(range(n))})
 
 
 def _random_faces(simplex, rng, count=5):
@@ -364,7 +368,7 @@ def test_nerve_matches_all_strata_oracle(bins, rule, mode, min_count, max_level,
     levels = [[b.constituents for b in bonds] for bonds in hs.levels]
     labels, maximal = nerve_naive(levels, rule, include)
     assert list(k.vertex_labels) == labels
-    assert k.maximal_simplices == maximal
+    assert maximal_tuples(k) == maximal
 
 
 _MODES = ["exact-cover", "subset-realization"]
@@ -381,7 +385,7 @@ def test_level_complex_matches_maximal_oracle(bins, mode, min_count, max_level):
         if i >= 2:
             covered = {c for b in hs.level(i) for c in b.constituents}
             family += [(b.id,) for b in hs.level(i - 1) if b.id not in covered]
-        assert level_complex(hs, i).maximal_simplices == maximal_naive(family)
+        assert maximal_tuples(level_complex(hs, i)) == maximal_naive(family)
 
 
 _COMPOSE_ERRORS = {
