@@ -37,7 +37,8 @@ from hypercode.topology import (
 
 def _domain_errors(fn):
     """End a domain error, a path the OS refuses, or running out of memory,
-    as one ``error:`` line and exit 1."""
+    as one ``error:`` line and exit 1.  An ``OverflowError`` that no parser
+    turned into a domain error is a mask or table too large for the process."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -46,7 +47,7 @@ def _domain_errors(fn):
         except (HypercodeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
-        except MemoryError:
+        except (MemoryError, OverflowError):
             click.echo("error: out of memory", err=True)
             sys.exit(1)
 
@@ -55,10 +56,6 @@ def _domain_errors(fn):
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _write_json(path: str, obj) -> None:
-    Path(path).write_text(_json_text(obj))
 
 
 def _write_texts(outputs: list[tuple[str, str]]) -> None:
@@ -96,7 +93,7 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -169,7 +166,7 @@ def ingest(path, fmt, header, dt, neurons, output):
                 raise ParseError(f"bad event row {row!r}: {exc}") from exc
         n = neurons if neurons is not None else max((e[0] for e in events), default=-1) + 1
         log = codes.bin_event_list(events, dt, n)
-    _write_json(output, codes.log_to_json_obj(log))
+    _write_texts([(output, _json_text(codes.log_to_json_obj(log)))])
 
 
 @cli.command()
@@ -197,7 +194,7 @@ def build(log_path, max_level, decomposition, min_count, two_pass, keep_union_wo
         keep_union_words=keep_union_words,
     )
     hs = build_hyperstructure(log, config)
-    _write_json(output, hs.to_json_obj())
+    _write_texts([(output, _json_text(hs.to_json_obj()))])
 
 
 @cli.command()
@@ -267,7 +264,7 @@ def persist(hs_path, level, dim_cap, keep_zero, output):
                 err=True,
             )
         seq.append((i, homology.persistence(f, keep_zero=keep_zero)))
-    Path(output).write_text(homology.barcodes_to_csv(seq))
+    _write_texts([(output, homology.barcodes_to_csv(seq))])
 
 
 @cli.command()
@@ -282,7 +279,7 @@ def compare(a_path, b_path, fmt, with_nerve, output):
     report = compare_levels(_load_hs(a_path), _load_hs(b_path), with_nerve=with_nerve)
     text = _json_text(report.to_json_obj()) if fmt == "json" else report.to_table()
     if output:
-        Path(output).write_text(text)
+        _write_texts([(output, text)])
     else:
         click.echo(text, nl=False)
 
@@ -294,7 +291,7 @@ def compare(a_path, b_path, fmt, with_nerve, output):
 def synth_cmd(spec_path, output):
     """Generate a spike matrix CSV from a synthesis spec JSON file."""
     spec = synth.SynthSpec.from_json_obj(_read_json(spec_path))
-    Path(output).write_text(synth.matrix_to_csv(synth.synth_generate(spec)))
+    _write_texts([(output, synth.matrix_to_csv(synth.synth_generate(spec)))])
 
 
 def main():

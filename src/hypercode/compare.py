@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 from hypercode.codes import SimplicialComplex
 from hypercode.errors import UniverseError
 from hypercode.homology import betti, resolve_dim_cap
-from hypercode.hyperstructure import Hyperstructure, canonical_form
+from hypercode.hyperstructure import Hyperstructure, _canonical_forms
 from hypercode.topology import NerveConfig, level_complex, nerve
 
 
@@ -110,13 +110,10 @@ def compare_levels(
         raise UniverseError(f"neuron universes differ: {a.n} != {b.n}")
     levels = []
     cut: list[bool] = []
+    all_a, all_b = _canonical_forms(a, a.k), _canonical_forms(b, b.k)
     for i in range(1, max(a.k, b.k) + 1):
-        forms_a = (
-            {canonical_form(a, i, bond.id) for bond in a.level(i)} if i <= a.k else set()
-        )
-        forms_b = (
-            {canonical_form(b, i, bond.id) for bond in b.level(i)} if i <= b.k else set()
-        )
+        forms_a = set(all_a[i - 1]) if i <= a.k else set()
+        forms_b = set(all_b[i - 1]) if i <= b.k else set()
         shared = len(forms_a & forms_b)
         denom = len(forms_a) + len(forms_b) - shared
         jaccard = shared / denom if denom else 1.0

@@ -16,13 +16,12 @@ Betti numbers are its infinite bars.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, repeat
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterator
 
 from hypercode import _gf2
@@ -61,13 +60,12 @@ class Filtration:
     A generator is a (mask, value) pair, bit i of the mask for vertex i.
     Every face of a generator, up to dimension ``top``, enters at the
     smallest value of a generator containing it, so no face enters after
-    a coface.  ``simplices`` and ``values`` list those faces, as sorted
-    vertex tuples, in (value, dim, descending mask) order, enumerated from
-    the generators on each read.
-    ``persistence`` reduces the columns of dimensions 0..top, their
-    cofaces generated one dimension up; on a ``truncated`` filtration,
-    whose ``top`` is a dim cap below its generators' dimension, it stops
-    below the cap.
+    a coface.  ``persistence`` reduces the columns of dimensions 0..top,
+    their cofaces generated one dimension up; on a ``truncated``
+    filtration, whose ``top`` is a dim cap below its generators'
+    dimension, it stops below the cap.  ``simplices`` lists the faces the
+    benchmark counts, as sorted vertex tuples, one dimension after
+    another, in no set order within a dimension.
     """
 
     generators: tuple[tuple[int, float], ...]
@@ -76,20 +74,10 @@ class Filtration:
 
     @property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
-        """Every simplex in (value, dim, descending mask) order, as is ``values``."""
-        return tuple(s for _, s in self._flat())
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self._flat())
-
-    def _flat(self):
+        """Every face up to ``top``, enumerated from the generators on each read."""
         gens = _generators(self.generators, collapse=False)
-        levels = (keys[::-1] for keys in _faces(gens, self.top))  # oldest first
-        # merge breaks value ties by argument order: lower dimensions first
-        return heapq.merge(
-            *(zip(map(gens.value, keys), map(gens.simplex, keys)) for keys in levels),
-            key=itemgetter(0),
+        return tuple(
+            tuple(members(key & gens.vertices)) for keys in _faces(gens, self.top) for key in keys
         )
 
 
@@ -121,9 +109,6 @@ class _Generators:
 
     def value(self, key: int) -> float:
         return self.values[key >> self.n]
-
-    def simplex(self, key: int) -> tuple[int, ...]:
-        return tuple(members(key & self.vertices))
 
     def column(self, key: int):
         """sigma's coboundary column as the kernel's (low, rows) pair.

@@ -349,7 +349,18 @@ def downset(h: Hyperstructure, level: int, bond_id: int, target: int) -> frozens
 def canonical_form(h: Hyperstructure, level: int, bond_id: int) -> str:
     """Fully expanded nested-set rendering; equal iff structurally equal."""
     bond = h.bond(level, bond_id)
-    if level == 1:
-        return "{" + ",".join(str(i) for i in bond.constituents) + "}"
-    parts = sorted(canonical_form(h, level - 1, c) for c in bond.constituents)
-    return "{" + ",".join(parts) + "}"
+    return _canonical_forms(h, level)[-1][bond.id]
+
+
+def _canonical_forms(h: Hyperstructure, i: int) -> list[list[str]]:
+    """Per level 1..i, each bond's :func:`canonical_form` by id, built
+    bottom-up from the level below, so no level recurses."""
+    forms: list[list[str]] = []
+    for level in range(1, i + 1):
+        bonds = h.level(level)
+        if level == 1:
+            parts = [map(str, b.constituents) for b in bonds]
+        else:
+            parts = [sorted(forms[-1][c] for c in b.constituents) for b in bonds]
+        forms.append(["{" + ",".join(p) + "}" for p in parts])
+    return forms

@@ -65,7 +65,7 @@ class SynthSpec:
                 noise_rate=float(noise_rate),
                 seed=_json_int(obj.get("seed", 0), "seed"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed synth spec JSON: {exc}") from exc
         spec.validate()
         return spec

@@ -172,6 +172,26 @@ def frequency_values_naive(bonds, maximal, top_dim):
     return values
 
 
+def filtration_faces_naive(generators, top: int):
+    """``(simplices, values)`` of a filtration given by its generators.
+
+    ``generators`` is a list of (mask, value), bit i of a mask for vertex
+    i.  Every face of a generator up to dimension ``top`` enters at the
+    smallest value among the generators containing it; the faces are
+    listed in (value, dim, lex) order.
+    """
+    sets = [({i for i in range(mask.bit_length()) if mask >> i & 1}, v) for mask, v in generators]
+    faces = {
+        s
+        for vertices, _ in sets
+        for size in range(1, top + 2)
+        for s in combinations(sorted(vertices), size)
+    }
+    value = {s: min(v for vertices, v in sets if vertices >= set(s)) for s in faces}
+    simplices = sorted(faces, key=lambda s: (value[s], len(s), s))
+    return simplices, [value[s] for s in simplices]
+
+
 def parse_spike_matrix_naive(text: str, header: bool = False):
     """A CSV spike matrix read cell by cell: ``(n, [(bin, members)])``, or
     ``(error class name, message)`` for the first fault a parser must report.

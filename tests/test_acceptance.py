@@ -28,6 +28,7 @@ from oracles import (
     betti_naive,
     count_at_naive,
     euler_characteristic_naive,
+    filtration_faces_naive,
     generated_complex_naive,
     subcomplex_at,
 )
@@ -110,9 +111,10 @@ def test_criterion_4_persistence_consistency():
         hs = _random_weighted_hs(rng, n)
         f = frequency_filtration(hs, 1)
         bars = persistence(f)
-        values = dict(zip(f.simplices, f.values))
-        for theta in sorted(set(f.values)):
-            sub = subcomplex_at(list(f.simplices), values, theta)
+        simplices, face_values = filtration_faces_naive(f.generators, f.top)
+        values = dict(zip(simplices, face_values))
+        for theta in sorted(set(face_values)):
+            sub = subcomplex_at(simplices, values, theta)
             expected = betti_naive(sub, 3)
             for d in range(4):
                 if count_at_naive(bars.intervals, theta, d) != expected[d]:

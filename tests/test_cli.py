@@ -16,7 +16,7 @@ from hypercode.homology import Barcode, barcodes_to_csv, frequency_filtration
 from hypercode.hyperstructure import BuildConfig, Hyperstructure, build_hyperstructure
 
 from conftest import TRIAD_CSV, matrix_csv
-from oracles import betti_naive, maximal_naive, persistence_naive
+from oracles import betti_naive, filtration_faces_naive, maximal_naive, persistence_naive
 
 
 @pytest.fixture
@@ -81,6 +81,25 @@ def test_compare_command(runner, tmp_path):
     r = runner.invoke(cli, ["compare", str(hs), str(hs), "--format", "table"])
     assert r.exit_code == 0
     assert "bijective" in r.output
+
+
+# level 1 is one bond {0, 1}; each of levels 2..1501 is one bond on the bond below
+TALL_ARTIFACT = {
+    "n": 2,
+    "config": BuildConfig().to_json_obj(),
+    "levels": [[{"id": 0, "constituents": [0, 1], "count": 1, "bins": [0]}]]
+    + [[{"id": 0, "constituents": [0], "count": 1, "bins": [0]}]] * 1500,
+}
+
+
+def test_compare_tall_hyperstructure(runner, tmp_path):
+    # one canonical form per level, each nesting the one below
+    hs = tmp_path / "tall.json"
+    hs.write_text(json.dumps(TALL_ARTIFACT))
+    r = runner.invoke(cli, ["compare", str(hs), str(hs), "--format", "table"])
+    assert r.exit_code == 0, r.output
+    rows = r.output.splitlines()[1:]
+    assert len(rows) == 1501 and all(" bijective " in row for row in rows)
 
 
 def test_compare_with_nerve_table_to_file(runner, tmp_path):
@@ -468,6 +487,8 @@ def test_build_log_not_integer_is_one_error_line(runner, tmp_path, obj):
     assert not out.exists()
 
 
+# deeper than the JSON decoder's recursion limit
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
 BAD_INPUT = {
     "json-invalid": ("{", ["build"]),
     "log-key-missing": ('{"bins": []}', ["build"]),
@@ -482,6 +503,9 @@ BAD_INPUT = {
         "neuron_id,timestamp\n",
         ["ingest", "--format", "events", "--dt", "0.1", "--neurons", "-1"],
     ),
+    "json-nested-build": (NESTED_JSON, ["build"]),
+    "json-nested-betti": (NESTED_JSON, ["betti", "--level", "1"]),
+    "json-nested-synth": (NESTED_JSON, ["synth"]),
 }
 
 
@@ -490,7 +514,8 @@ def test_bad_input_is_one_error_line(runner, tmp_path, text, command):
     src = tmp_path / "input"
     src.write_text(text)
     out = tmp_path / "out.json"
-    r = runner.invoke(cli, [*command, str(src), "-o", str(out)])
+    output = [] if command[0] == "betti" else ["-o", str(out)]
+    r = runner.invoke(cli, [*command, str(src), *output])
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
@@ -627,7 +652,8 @@ def test_wide_bond_matches_dense_oracle(tmp_path):
     # dense oracle reduces that one, all its faces enumerated
     cut = [(range(4), 4), *WIDE_BOND[1:]]
     f = frequency_filtration(Hyperstructure.from_json_obj(_level1_artifact(cut)), 1)
-    expected = [iv for iv in persistence_naive(f.simplices, f.values) if iv[2] > iv[1]]
+    faces = filtration_faces_naive(f.generators, f.top)
+    expected = [iv for iv in persistence_naive(*faces) if iv[2] > iv[1]]
     assert bars.read_text() == barcodes_to_csv([(1, Barcode(tuple(expected)))])
     maximal = maximal_naive(tuple(members(mask)) for mask, _ in f.generators)
     assert betti.stdout == ",".join(map(str, betti_naive(list(maximal), 4))) + "\n"
@@ -672,6 +698,39 @@ def test_build_max_level_is_only_an_upper_bound(tmp_path):
         assert artifact["config"].pop("max_level") == int(bound)
         artifacts.append(artifact)
     assert artifacts[0] == artifacts[1]
+
+
+# (input text, argv before the input; {out} is the written path): ints too
+# large for a mask, a vertex table or a float, in a process capped at 256 MiB
+TOO_LARGE = {
+    "build-neuron": (
+        json.dumps({"n": 10**31, "bins": [[0, [10**30]]]}),
+        ["build", "-o", "{out}"],
+    ),
+    "ingest-neuron": (
+        f"neuron_id,timestamp\n{10**30},0.1\n",
+        ["ingest", "--format", "events", "--dt", "0.5", "-o", "{out}"],
+    ),
+    "betti-n": (
+        json.dumps({**_level1_artifact([([0, 1], 1)]), "n": 10**31}),
+        ["betti", "--level", "1"],
+    ),
+    "synth-noise-rate": (
+        json.dumps({"n": 3, "patterns": {}, "schedule": [], "noise_rate": 10**400}),
+        ["synth", "-o", "{out}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("text, argv", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+def test_int_too_large_is_one_error_line(tmp_path, text, argv):
+    src = tmp_path / "input"
+    src.write_text(text)
+    out = tmp_path / "out"
+    r = _limited_cli(*(arg.format(out=out) for arg in argv), str(src))
+    assert r.returncode == 1
+    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
+    assert not out.exists()
 
 
 def test_synth_empty_schedule_too_many_rows_is_one_error_line(tmp_path):
