@@ -7,11 +7,12 @@ maximal simplices at one value for ``betti``).  They are strong-collapsed
 (:func:`hypercode.codes.strong_collapse`), or only filtered by
 :func:`hypercode.codes._maximal` where ``persistence`` keeps zero-length
 bars; ``_Generators`` indexes what is left by the vertex bond
-sets of that filter, ``_faces`` enumerates the faces of the column
-dimensions, and ``persistence``, the only reduction (coboundary, bottom
-up, with clearing; inner loop in :mod:`hypercode._gf2`), generates a
-column's cofaces from the generators only when the kernel needs them.
-Betti numbers are its infinite bars.
+sets of that filter.  ``_columns`` lists the faces of each column
+dimension together with each face's low, its oldest coface, in one bulk
+pass over blocks of each generator's faces, and ``persistence``, the only
+reduction (coboundary, bottom up, with clearing; inner loop in
+:mod:`hypercode._gf2`), generates a column's cofaces from the generators
+only when the kernel needs them.  Betti numbers are its infinite bars.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, repeat
-from operator import or_
+from itertools import combinations, compress, repeat
+from operator import and_, itemgetter, lt, not_, or_, rshift
 from typing import Iterator
 
 from hypercode import _gf2
@@ -61,11 +62,12 @@ class Filtration:
     Every face of a generator, up to dimension ``top``, enters at the
     smallest value of a generator containing it, so no face enters after
     a coface.  ``persistence`` reduces the columns of dimensions 0..top,
-    their cofaces generated one dimension up; on a ``truncated``
-    filtration, whose ``top`` is a dim cap below its generators'
-    dimension, it stops below the cap.  ``simplices`` lists the faces the
-    benchmark counts, as sorted vertex tuples, one dimension after
-    another, in no set order within a dimension.
+    their lows listed with the faces and their cofaces generated one
+    dimension up only when needed; on a ``truncated`` filtration, whose
+    ``top`` is a dim cap below its generators' dimension, it stops below
+    the cap.  ``simplices`` lists the faces the benchmark counts, as
+    sorted vertex tuples, one dimension after another, in no set order
+    within a dimension.
     """
 
     generators: tuple[tuple[int, float], ...]
@@ -77,7 +79,9 @@ class Filtration:
         """Every face up to ``top``, enumerated from the generators on each read."""
         gens = _generators(self.generators, collapse=False)
         return tuple(
-            tuple(members(key & gens.vertices)) for keys in _faces(gens, self.top) for key in keys
+            tuple(members(key & gens.vertices))
+            for keys, _ in _columns(gens, self.top)
+            for key in keys
         )
 
 
@@ -91,10 +95,12 @@ class _Generators:
     Bit i of a mask is vertex i.  The generators, in value order, and
     ``inc``, each vertex's bond set (bit g for generator g), come from
     :func:`hypercode.codes._maximal` or its strong collapse, so the
-    generators containing sigma are the AND of its vertices' rows.  The
-    key of a simplex is (rank of its value counted from the top) << n |
-    mask: a larger key is an older simplex in (value, descending mask)
-    order, so the kernel's low, the largest key, is the oldest coface.
+    generators containing sigma are the AND of its vertices' rows, which
+    ``cofaces`` reads to build a column.  The key of a simplex is (rank of
+    its value counted from the top) << n | mask: a larger key is an older
+    simplex in (value, descending mask) order, so the kernel's low, the
+    largest key, is the oldest coface; :func:`_columns` lists every low in
+    bulk, with no AND per face.
     """
 
     def __init__(self, kept: list[tuple[int, float]], inc: dict[int, int]):
@@ -109,29 +115,6 @@ class _Generators:
 
     def value(self, key: int) -> float:
         return self.values[key >> self.n]
-
-    def column(self, key: int):
-        """sigma's coboundary column as the kernel's (low, rows) pair.
-
-        The low, sigma's oldest coface, costs a few ANDs: the lowest-valued
-        generators that contain sigma and have an extra vertex give its
-        value, and their largest extra vertex its largest mask.
-        """
-        sigma = key & self.vertices
-        bonds = self._containing(sigma)
-        if not bonds:
-            return -1, None
-        shifts, masks = self.shifts, self.masks
-        shift, extra = shifts[(bonds & -bonds).bit_length() - 1], 0
-        while bonds:
-            b = bonds & -bonds
-            g = b.bit_length() - 1
-            if shifts[g] != shift:
-                break
-            extra |= masks[g]
-            bonds ^= b
-        low = shift | sigma | 1 << ((extra & ~sigma).bit_length() - 1)
-        return low, partial(self.cofaces, sigma)
 
     def cofaces(self, sigma: int) -> list[int]:
         """Keys of sigma's cofaces: the generators strictly containing sigma,
@@ -161,18 +144,48 @@ class _Generators:
         return bonds & ~self.exact.get(sigma, 0)
 
 
-def _faces(gens: _Generators, top: int) -> Iterator[list[int]]:
-    """Keys of the faces of dimension 0..top of the generators, ascending
-    (youngest first), each face at the smallest value of a generator
-    containing it; one dimension at a time, so one is held at once."""
+def _columns(gens: _Generators, top: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Per dimension 0..top, the keys of the generators' faces, ascending
+    (youngest first), and each face's low, the key of its oldest coface,
+    or -1 if it has none; one dimension at a time, so one is held at once.
+
+    sigma's low is sigma | max(shift_g | e_g) over the generators g
+    strictly containing sigma, e_g the bit of g's largest vertex not in
+    sigma.  The faces of g that hold g's k largest vertices but not its
+    (k+1)-th share that term, so they come as a block: a prefix | each
+    combination of the rest.  The blocks go into one dict in ascending
+    term order, so each face keeps its largest term, whose shift is that
+    of the oldest generator containing the face: the face's own.  A face
+    that is a generator keeps its own shift, which ``_maximal`` makes older
+    than any container's.
+    """
+    high = ~gens.vertices
+    descending = [[1 << v for v in reversed(list(members(mask)))] for mask in gens.masks]
     for size in range(1, top + 2):
-        level: dict[int, int] = {}
-        # largest value first, so a smaller value overwrites: each face at its min
-        for mask, shift in zip(reversed(gens.masks), reversed(gens.shifts)):
-            if mask.bit_count() >= size:
-                bits = [1 << v for v in members(mask)]
-                level.update(zip(map(sum, combinations(bits, size)), repeat(shift)))
-        yield sorted(map(or_, level, level.values()))
+        blocks = []
+        for bits, shift in zip(descending, gens.shifts):
+            if len(bits) > size:  # a generator is no strict face of itself
+                prefix = 0
+                for k in range(size + 1):
+                    blocks.append((shift | bits[k], prefix, bits[k + 1 :], size - k))
+                    prefix |= bits[k]
+        blocks.sort(key=itemgetter(0))
+        terms: dict[int, int] = {}
+        for term, prefix, rest, r in blocks:
+            terms.update(zip(map(sum, combinations(rest, r), repeat(prefix)), repeat(term)))
+        own: dict[int, int] = {}  # the generators' own keys and lows
+        for mask, shift in zip(gens.masks, gens.shifts):
+            if mask.bit_count() == size:
+                term = terms.pop(mask, None)
+                own[shift | mask] = -1 if term is None else mask | term
+        keys = [*map(or_, terms, map(and_, terms.values(), repeat(high))), *own]
+        lows = [*map(or_, terms, terms.values()), *own.values()]
+        del terms  # peak memory: only the two lists live through the sort and the reduction
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = list(map(keys.__getitem__, order))
+        lows = list(map(lows.__getitem__, order))
+        del order
+        yield keys, lows
 
 
 @dataclass(frozen=True)
@@ -242,14 +255,15 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     0 up (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021):
     columns are the d-simplices, youngest first, and rows their cofaces,
     keyed so that a column's low is its oldest coface and the pairs are
-    those of the boundary reduction.  Cofaces are generated from the
-    generators, never enumerated: the kernel gets each column's low for a
-    few ANDs and builds the column only when that low is already a pivot,
-    so an apparent pair costs no column.  A pair (sigma, tau) is the
-    interval (dim sigma, value sigma, value tau).  Clearing runs upward: a
-    (d+1)-simplex that is already a pivot of delta_d gets no column in
-    delta_{d+1}; a simplex neither paired nor such a pivot is an infinite
-    bar.
+    those of the boundary reduction.  Each column's low comes from
+    :func:`_columns`, listed in bulk with the faces; the kernel generates
+    a column's cofaces from the generators only when its low is already a
+    pivot, so an apparent pair costs no column.  A pair (sigma, tau) is the
+    interval (dim sigma, value sigma, value tau); whether it has positive
+    length is read off the value ranks in the keys, and only the intervals
+    reported read values.  Clearing runs upward: a (d+1)-simplex that is
+    already a pivot of delta_d gets no column in delta_{d+1}; a simplex
+    neither paired nor such a pivot is an infinite bar.
 
     Zero-length intervals are dropped unless ``keep_zero``; without it,
     the generators are strong-collapsed first, which keeps every interval
@@ -260,18 +274,25 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     barcode, and a dimension above the collapsed generators has no faces.
     """
     gens = _generators(f.generators, collapse=not keep_zero)
-    value = gens.value
+    n, value = gens.n, gens.value
+    sigma = partial(and_, gens.vertices)
     intervals: list[tuple[int, float, float]] = []
     cleared: set[int] = set()  # keys of the pivots of delta_{d-1}
-    for d, keys in enumerate(_faces(gens, f.top - f.truncated)):
-        live = [key for key in keys if key not in cleared]
-        lows = _gf2.reduce_lows(map(gens.column, live))
-        for key, low in zip(live, lows):
-            birth = value(key)
-            if low < 0:
-                intervals.append((d, birth, math.inf))
-            elif keep_zero or value(low) > birth:
-                intervals.append((d, birth, value(low)))
+    for d, (keys, lows) in enumerate(_columns(gens, f.top - f.truncated)):
+        keep = list(map(not_, map(cleared.__contains__, keys)))
+        live = list(compress(keys, keep))
+        columns = zip(compress(lows, keep), map(partial, repeat(gens.cofaces), map(sigma, live)))
+        lows = _gf2.reduce_lows(columns)
+        bars = zip(live, lows)
+        if not keep_zero:
+            # ranks count values from the top, so a bar has positive length
+            # iff its low's rank is the smaller; -1 >> n is -1, so every
+            # infinite bar passes too
+            bars = compress(
+                bars, map(lt, map(rshift, lows, repeat(n)), map(rshift, live, repeat(n)))
+            )
+        for key, low in bars:
+            intervals.append((d, value(key), value(low) if low >= 0 else math.inf))
         cleared = set(lows)
     intervals.sort()
     return Barcode(tuple(intervals))

@@ -121,12 +121,17 @@ class Hyperstructure:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Hyperstructure":
-        """Load an artifact, checking ids, nonempty and distinct constituents, bins and counts."""
+        """Load an artifact, checking the level count, ids, nonempty and
+        distinct constituents, bins and counts."""
         try:
             config = BuildConfig.from_json_obj(obj["config"])
             n = _json_int(obj["n"], "n")
             if n < 0:
                 raise ParseError(f"n must be >= 0, got {n}")
+            if len(obj["levels"]) > config.max_level:
+                raise ParseError(
+                    f"{len(obj['levels'])} levels, above config max_level {config.max_level}"
+                )
             levels: list[tuple[Bond, ...]] = []
             for lvl, bonds in enumerate(obj["levels"], start=1):
                 if not bonds:

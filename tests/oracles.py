@@ -192,6 +192,37 @@ def filtration_faces_naive(generators, top: int):
     return simplices, [value[s] for s in simplices]
 
 
+def coboundary_lows_naive(generators, top: int):
+    """Each face of a filtration up to dimension ``top`` with its oldest coface.
+
+    ``generators`` is a list of (mask, value), bit i of a mask for vertex
+    i; every face of a generator enters at the smallest value among the
+    generators containing it.  Returns one list per dimension 0..top of
+    ``(mask, value, low)``, youngest first (value descending, then mask
+    ascending).  ``low`` is ``(mask, value)`` of the face's oldest coface,
+    the one of smallest value and then largest mask, or None if it has none.
+    """
+    sets = [({i for i in range(mask.bit_length()) if mask >> i & 1}, v) for mask, v in generators]
+
+    def mask_of(face):
+        return sum(1 << i for i in face)
+
+    def value(face):
+        return min(v for vertices, v in sets if vertices >= face)
+
+    out = []
+    for size in range(1, top + 2):
+        faces = {frozenset(c) for vertices, _ in sets for c in combinations(sorted(vertices), size)}
+        rows = []
+        for face in faces:
+            cofaces = [face | {u} for vertices, _ in sets if vertices >= face for u in vertices - face]
+            oldest = min(cofaces, key=lambda t: (value(t), -mask_of(t)), default=None)
+            low = None if oldest is None else (mask_of(oldest), value(oldest))
+            rows.append((mask_of(face), value(face), low))
+        out.append(sorted(rows, key=lambda row: (-row[1], row[0])))
+    return out
+
+
 def parse_spike_matrix_naive(text: str, header: bool = False):
     """A CSV spike matrix read cell by cell: ``(n, [(bin, members)])``, or
     ``(error class name, message)`` for the first fault a parser must report.

@@ -86,7 +86,7 @@ def test_compare_command(runner, tmp_path):
 # level 1 is one bond {0, 1}; each of levels 2..1501 is one bond on the bond below
 TALL_ARTIFACT = {
     "n": 2,
-    "config": BuildConfig().to_json_obj(),
+    "config": BuildConfig(max_level=1501).to_json_obj(),
     "levels": [[{"id": 0, "constituents": [0, 1], "count": 1, "bins": [0]}]]
     + [[{"id": 0, "constituents": [0], "count": 1, "bins": [0]}]] * 1500,
 }
@@ -203,6 +203,7 @@ ARTIFACT_MUTATIONS = {
     "levels-not-a-list": _set(["levels"], 5),
     "config-max-level-float": _set(["config", "max_level"], 2.5),
     "config-max-level-bool": _set(["config", "max_level"], True),
+    "levels-above-max-level": _set(["config", "max_level"], 1),
     "config-min-count-float": _set(["config", "min_count"], 1.0),
     "config-two-pass-string": _set(["config", "two_pass"], "no"),
     "config-keep-union-words-int": _set(["config", "keep_union_words"], 0),

@@ -5,12 +5,14 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hypercode.codes import SimplicialComplex, bitmask
+from hypercode.codes import SimplicialComplex, _maximal, bitmask, strong_collapse
 from hypercode.errors import DimCapError, LevelRangeError
 from hypercode.homology import (
     Filtration,
+    _columns,
+    _Generators,
     barcodes_to_csv,
     betti,
     frequency_filtration,
@@ -23,6 +25,7 @@ from hypercode.topology import level_complex
 from conftest import maximal_tuples
 from oracles import (
     betti_naive,
+    coboundary_lows_naive,
     count_at_naive,
     euler_characteristic_naive,
     filtration_faces_naive,
@@ -330,6 +333,33 @@ def test_persistence_from_values_matches_dense_oracle(filtration, cap, keep_zero
         if (d < cap or not f.truncated) and (keep_zero or e > b)
     ]
     assert list(persistence(f, keep_zero=keep_zero).intervals) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 2**7 - 1), st.sampled_from([0.0, 1.0, 2.0, 5.0])),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([0, 1, 2, 3, 5]),
+    st.booleans(),
+)
+@example([(0b011, 0.0), (0b111, 5.0)], 1, False)  # a generator inside a later one
+def test_column_lows_match_naive_oracle(generators, top, collapse):
+    # every face key and low listed in bulk is the face's own value and
+    # its oldest coface, read off the generators one face at a time
+    kept, inc = (strong_collapse if collapse else _maximal)(generators)
+    gens = _Generators(kept, inc)
+
+    def decoded(key):
+        return key & gens.vertices, gens.value(key)
+
+    got = [
+        [(*decoded(key), decoded(low) if low >= 0 else None) for key, low in zip(keys, lows)]
+        for keys, lows in _columns(gens, top)
+    ]
+    assert got == coboundary_lows_naive(kept if collapse else generators, top)
 
 
 class TestPersistence:
