@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, compress, repeat
 from operator import and_, itemgetter, lt, not_, or_, rshift
 from typing import Iterator
@@ -96,11 +95,12 @@ class _Generators:
     ``inc``, each vertex's bond set (bit g for generator g), come from
     :func:`hypercode.codes._maximal` or its strong collapse, so the
     generators containing sigma are the AND of its vertices' rows, which
-    ``cofaces`` reads to build a column.  The key of a simplex is (rank of
-    its value counted from the top) << n | mask: a larger key is an older
-    simplex in (value, descending mask) order, so the kernel's low, the
-    largest key, is the oldest coface; :func:`_columns` lists every low in
-    bulk, with no AND per face.
+    ``cofaces`` reads to build the column of a key the kernel passes back;
+    a generator equal to sigma adds no coface.  The key of a simplex is
+    (rank of its value counted from the top) << n | mask: a larger key is
+    an older simplex in (value, descending mask) order, so the kernel's
+    low, the largest key, is the oldest coface; :func:`_columns` lists
+    every low in bulk, with no AND per face.
     """
 
     def __init__(self, kept: list[tuple[int, float]], inc: dict[int, int]):
@@ -111,16 +111,21 @@ class _Generators:
         rank = {value: r for r, value in enumerate(self.values)}
         self.shifts = [rank[value] << n for _, value in kept]
         self.inc = inc
-        self.exact = {mask: 1 << g for g, mask in enumerate(self.masks)}
 
     def value(self, key: int) -> float:
         return self.values[key >> self.n]
 
-    def cofaces(self, sigma: int) -> list[int]:
-        """Keys of sigma's cofaces: the generators strictly containing sigma,
-        visited in value order, each add the cofaces no older one has, at
-        its own value."""
-        keys, seen, bonds = [], sigma, self._containing(sigma)
+    def cofaces(self, key: int) -> list[int]:
+        """Keys of the cofaces of the face with this key: the generators
+        containing it, the AND of its vertices' bond sets, visited in value
+        order, each add the cofaces no older one has, at its own value."""
+        sigma = key & self.vertices
+        bonds, inc, rest = -1, self.inc, sigma
+        while rest:
+            v = rest & -rest
+            bonds &= inc[v.bit_length() - 1]
+            rest ^= v
+        keys, seen = [], sigma
         while bonds:
             b = bonds & -bonds
             g = b.bit_length() - 1
@@ -133,15 +138,6 @@ class _Generators:
                 extra ^= v
             bonds ^= b
         return keys
-
-    def _containing(self, sigma: int) -> int:
-        """The bond set of the generators that strictly contain sigma."""
-        bonds, inc, rest = -1, self.inc, sigma
-        while rest:
-            v = rest & -rest
-            bonds &= inc[v.bit_length() - 1]
-            rest ^= v
-        return bonds & ~self.exact.get(sigma, 0)
 
 
 def _columns(gens: _Generators, top: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -211,7 +207,8 @@ def betti(
     ``DimCapError``.
 
     beta_d counts the infinite d-bars of ``persistence`` over the complex
-    with every face at one value, its columns of dimension 0..max_dim.
+    with every face at one value, its columns of dimension 0..max_dim, or
+    only up to the complex dimension, above which every beta_d is 0.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
@@ -224,7 +221,7 @@ def betti(
             f"homology above dimension {cap - 1} unavailable"
         )
     valued = tuple((mask, 0.0) for mask in k.maximal_simplices)
-    bars = persistence(Filtration(valued, max_dim, False))
+    bars = persistence(Filtration(valued, min(max_dim, max(k.dim, 0)), False))
     return tuple(sum(math.isinf(e) for _, e in bars.in_dim(d)) for d in range(max_dim + 1))
 
 
@@ -256,14 +253,15 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     columns are the d-simplices, youngest first, and rows their cofaces,
     keyed so that a column's low is its oldest coface and the pairs are
     those of the boundary reduction.  Each column's low comes from
-    :func:`_columns`, listed in bulk with the faces; the kernel generates
-    a column's cofaces from the generators only when its low is already a
-    pivot, so an apparent pair costs no column.  A pair (sigma, tau) is the
-    interval (dim sigma, value sigma, value tau); whether it has positive
-    length is read off the value ranks in the keys, and only the intervals
-    reported read values.  Clearing runs upward: a (d+1)-simplex that is
-    already a pivot of delta_d gets no column in delta_{d+1}; a simplex
-    neither paired nor such a pivot is an infinite bar.
+    :func:`_columns`, listed in bulk with the faces, and the kernel gets
+    each column as its key, with ``_Generators.cofaces`` to build it from
+    the generators only when its low is already a pivot, so an apparent
+    pair costs no column.  A pair (sigma, tau) is the interval (dim sigma,
+    value sigma, value tau); whether it has positive length is read off
+    the value ranks in the keys, and only the intervals reported read
+    values.  Clearing runs upward: a (d+1)-simplex that is already a pivot
+    of delta_d gets no column in delta_{d+1}; a simplex neither paired nor
+    such a pivot is an infinite bar.
 
     Zero-length intervals are dropped unless ``keep_zero``; without it,
     the generators are strong-collapsed first, which keeps every interval
@@ -275,14 +273,12 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     """
     gens = _generators(f.generators, collapse=not keep_zero)
     n, value = gens.n, gens.value
-    sigma = partial(and_, gens.vertices)
     intervals: list[tuple[int, float, float]] = []
     cleared: set[int] = set()  # keys of the pivots of delta_{d-1}
     for d, (keys, lows) in enumerate(_columns(gens, f.top - f.truncated)):
         keep = list(map(not_, map(cleared.__contains__, keys)))
         live = list(compress(keys, keep))
-        columns = zip(compress(lows, keep), map(partial, repeat(gens.cofaces), map(sigma, live)))
-        lows = _gf2.reduce_lows(columns)
+        lows = _gf2.reduce_lows(zip(compress(lows, keep), live), gens.cofaces)
         bars = zip(live, lows)
         if not keep_zero:
             # ranks count values from the top, so a bar has positive length

@@ -198,9 +198,10 @@ def coboundary_lows_naive(generators, top: int):
     ``generators`` is a list of (mask, value), bit i of a mask for vertex
     i; every face of a generator enters at the smallest value among the
     generators containing it.  Returns one list per dimension 0..top of
-    ``(mask, value, low)``, youngest first (value descending, then mask
-    ascending).  ``low`` is ``(mask, value)`` of the face's oldest coface,
-    the one of smallest value and then largest mask, or None if it has none.
+    ``(mask, value, low, cofaces)``, youngest first (value descending, then
+    mask ascending).  ``cofaces`` is the sorted ``(mask, value)`` of every
+    coface of the face; ``low`` is that of its oldest coface, the one of
+    smallest value and then largest mask, or None if it has none.
     """
     sets = [({i for i in range(mask.bit_length()) if mask >> i & 1}, v) for mask, v in generators]
 
@@ -218,7 +219,8 @@ def coboundary_lows_naive(generators, top: int):
             cofaces = [face | {u} for vertices, _ in sets if vertices >= face for u in vertices - face]
             oldest = min(cofaces, key=lambda t: (value(t), -mask_of(t)), default=None)
             low = None if oldest is None else (mask_of(oldest), value(oldest))
-            rows.append((mask_of(face), value(face), low))
+            listed = sorted({(mask_of(t), value(t)) for t in cofaces})
+            rows.append((mask_of(face), value(face), low, listed))
         out.append(sorted(rows, key=lambda row: (-row[1], row[0])))
     return out
 

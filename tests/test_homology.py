@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hypercode import homology
 from hypercode.codes import SimplicialComplex, _maximal, bitmask, strong_collapse
 from hypercode.errors import DimCapError, LevelRangeError
 from hypercode.homology import (
@@ -85,6 +86,21 @@ class TestBetti:
     def test_empty_complex(self):
         k = SimplicialComplex((), frozenset())
         assert betti(k, 0) == (0,)
+
+    def test_no_column_above_the_complex_dimension(self, monkeypatch):
+        # a dimension above the complex has no face and beta 0, so a
+        # max_dim above it lists no columns there
+        tops = []
+        columns = homology._columns
+
+        def recording(gens, top):
+            tops.append(top)
+            return columns(gens, top)
+
+        monkeypatch.setattr(homology, "_columns", recording)
+        k = generated_complex_naive([(0, 1, 2), (2, 3)], 4)
+        assert betti(k, 1000) == (1,) + (0,) * 1000
+        assert tops == [k.dim]
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,7 +364,8 @@ def test_persistence_from_values_matches_dense_oracle(filtration, cap, keep_zero
 @example([(0b011, 0.0), (0b111, 5.0)], 1, False)  # a generator inside a later one
 def test_column_lows_match_naive_oracle(generators, top, collapse):
     # every face key and low listed in bulk is the face's own value and
-    # its oldest coface, read off the generators one face at a time
+    # its oldest coface, and the cofaces the kernel builds from a key are
+    # the face's, each once, read off the generators one face at a time
     kept, inc = (strong_collapse if collapse else _maximal)(generators)
     gens = _Generators(kept, inc)
 
@@ -356,7 +373,14 @@ def test_column_lows_match_naive_oracle(generators, top, collapse):
         return key & gens.vertices, gens.value(key)
 
     got = [
-        [(*decoded(key), decoded(low) if low >= 0 else None) for key, low in zip(keys, lows)]
+        [
+            (
+                *decoded(key),
+                decoded(low) if low >= 0 else None,
+                sorted(map(decoded, gens.cofaces(key))),
+            )
+            for key, low in zip(keys, lows)
+        ]
         for keys, lows in _columns(gens, top)
     ]
     assert got == coboundary_lows_naive(kept if collapse else generators, top)

@@ -7,12 +7,13 @@ from oracles import gf2_lows_dense, gf2_rank_dense
 
 
 def _pairs(columns):
-    """Row lists as the kernel's (low, rows) columns."""
-    return [(max(rows, default=-1), lambda rows=rows: rows) for rows in columns]
+    """Row lists as the kernel's (low, key) columns, key j for
+    ``columns[j]``, so ``columns.__getitem__`` builds them."""
+    return [(max(rows, default=-1), j) for j, rows in enumerate(columns)]
 
 
 def _rank(columns):
-    return sum(1 for low in _gf2.reduce_lows(_pairs(columns)) if low >= 0)
+    return sum(1 for low in _gf2.reduce_lows(_pairs(columns), columns.__getitem__) if low >= 0)
 
 
 def _dense(columns, n_rows):
@@ -55,48 +56,51 @@ def _columns(draw):
 def test_reduce_lows_matches_dense_oracle(case, generators):
     n_rows, columns = case
     expected = gf2_lows_dense(columns, n_rows)
-    pairs = _pairs(columns)
+    pairs, rows = _pairs(columns), columns.__getitem__
     if generators:
-        pairs = ((low, lambda rows=rows: (r for r in rows())) for low, rows in pairs)
-    assert _gf2.reduce_lows(pairs) == expected
+        pairs, rows = iter(pairs), lambda j: (r for r in columns[j])
+    assert _gf2.reduce_lows(pairs, rows) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(_columns(), st.data())
 def test_sparse_keys_map_to_oracle_lows(case, data):
     # keys need not be dense indices: any strictly increasing map of the
-    # rows, here into ints >= 2**40, must map the lows the same way
+    # rows, here into ints >= 2**40, must map the lows the same way, and a
+    # column's key may be any distinct int, here 2**80 apart
     n_rows, columns = case
     gaps = data.draw(st.lists(st.integers(1, 2**70), min_size=n_rows, max_size=n_rows))
     key, total = [], 2**40
     for gap in gaps:
         total += gap
         key.append(total)
-    mapped = [[key[r] for r in rows] for rows in columns]
+    mapped = {(j + 1) << 80: [key[r] for r in rows] for j, rows in enumerate(columns)}
+    pairs = [(max(rows, default=-1), j) for j, rows in mapped.items()]
     expected = [key[low] if low >= 0 else -1 for low in gf2_lows_dense(columns, n_rows)]
-    assert _gf2.reduce_lows(_pairs(mapped)) == expected
+    assert _gf2.reduce_lows(pairs, mapped.__getitem__) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(_columns())
 def test_rows_built_only_on_collision(case):
-    # a column is built only when its low is already a pivot's, and any
-    # column at most once (a stored pivot at its first XOR)
+    # a column is built only when its low is already a pivot's, any column
+    # at most once (a stored pivot at its first XOR), and only from a key
+    # already passed in
     n_rows, columns = case
-    current = [-1]
+    passed: list[int] = []
     calls: list[tuple[int, int]] = []  # (column built, column being reduced)
 
     def stream():
         for j, rows in enumerate(columns):
-            current[0] = j
+            passed.append(j)
+            yield max(rows, default=-1), j
 
-            def build(j=j, rows=rows):
-                calls.append((j, current[0]))
-                return rows
+    def build(j):
+        assert j in passed
+        calls.append((j, passed[-1]))
+        return columns[j]
 
-            yield max(rows, default=-1), build
-
-    lows = _gf2.reduce_lows(stream())
+    lows = _gf2.reduce_lows(stream(), build)
     assert lows == gf2_lows_dense(columns, n_rows)
     built = [j for j, _ in calls]
     assert len(built) == len(set(built))
@@ -109,12 +113,12 @@ def test_rows_built_only_on_collision(case):
 
 
 def test_empty_matrix():
-    assert _gf2.reduce_lows([]) == []
+    assert _gf2.reduce_lows([], [].__getitem__) == []
     assert _rank([[], []]) == 0
 
 
 def test_known_small_case():
     # hollow triangle boundary: rank 2, third column zeroed
     columns = [[0, 1], [1, 2], [0, 2]]
-    lows = _gf2.reduce_lows(_pairs(columns))
+    lows = _gf2.reduce_lows(_pairs(columns), columns.__getitem__)
     assert lows[0] == 1 and lows[1] == 2 and lows[2] == -1
