@@ -218,30 +218,64 @@ def strong_collapse(
     Pritam & Pareek 2018; Barmak & Minian 2012).
 
     A generator inside another that enters no later adds no face, so
-    :func:`_maximal` drops it: first, and again after every pass that
-    deletes a vertex.  A pass tests every vertex in turn against the masks
-    as the pass has left them, so of two vertices in the same generators
-    only one goes.  The collapse stops after a pass that deletes nothing.
+    :func:`_maximal` drops it first.  A pass tests every vertex in turn,
+    in :func:`_maximal`'s order of first appearance, against the masks as
+    the pass has left them, so of two vertices in the same generators only
+    one goes.  After a pass that deletes a vertex, only a generator it
+    shrank can have come inside another: each is dropped if a generator
+    entering earlier, or at its value and larger, or equal and before it,
+    contains it, and the rest are sorted again, as :func:`_maximal` would
+    filter them.  The collapse stops after a pass that deletes nothing.
     Returns the surviving generators and their vertices' bond sets, as
     :func:`_maximal` does.
     """
     kept, bonds = _maximal(valued)
+    masks = [mask for mask, _ in kept]
+    values = [value for _, value in kept]
+    order = list(range(len(kept)))  # indices into kept, whose bits the bond sets keep
+    vertices, moved = list(bonds), 0
     while True:
-        masks = [mask for mask, _ in kept]
-        deleted = False
-        for v, row in bonds.items():
-            bit, common = 1 << v, -1
+        shrunk = 0
+        for v in vertices:
+            row, bit, common = bonds[v], 1 << v, -1
             for g in members(row):
                 common &= masks[g]
                 if common == bit:
                     break
             if common != bit:
-                deleted = True
+                shrunk |= row
                 for g in members(row):
                     masks[g] ^= bit
-        if not deleted:
-            return kept, bonds
-        kept, bonds = _maximal(zip(masks, (value for _, value in kept)))
+                del bonds[v]
+        if not shrunk:
+            break
+        moved |= shrunk
+        place = {g: i for i, g in enumerate(order)}
+        for g in members(shrunk):
+            containing = -1
+            for v in members(masks[g]):
+                containing &= bonds[v]
+            for h in members(containing ^ 1 << g):
+                if values[h] < values[g] or values[h] == values[g] and (
+                    masks[h] != masks[g] or place[h] < place[g]
+                ):
+                    for v in members(masks[g]):
+                        bonds[v] ^= 1 << g
+                    order.remove(g)
+                    break
+        order.sort(key=lambda g: (values[g], -masks[g].bit_count()))
+        vertices, seen = [], 0
+        for g in order:
+            vertices += members(masks[g] & ~seen)
+            seen |= masks[g]
+    if not moved:
+        return kept, bonds
+    kept = [(masks[g], values[g]) for g in order]
+    bonds = {}
+    for i, (mask, _) in enumerate(kept):
+        for v in members(mask):
+            bonds[v] = bonds.get(v, 0) | 1 << i
+    return kept, bonds
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:

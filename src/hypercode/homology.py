@@ -9,10 +9,13 @@ maximal simplices at one value for ``betti``).  They are strong-collapsed
 bars; ``_Generators`` indexes what is left by the vertex bond
 sets of that filter.  ``_columns`` lists the faces of each column
 dimension together with each face's low, its oldest coface, in one bulk
-pass over blocks of each generator's faces, and ``persistence``, the only
-reduction (coboundary, bottom up, with clearing; inner loop in
-:mod:`hypercode._gf2`), generates a column's cofaces from the generators
-only when the kernel needs them.  Betti numbers are its infinite bars.
+pass over blocks of each generator's faces; the faces that clearing
+pairs one dimension down leave the listing before its one sort.
+``_reduced`` is the only reduction (coboundary, bottom up, with
+clearing; inner loop in :mod:`hypercode._gf2`), and generates a column's
+cofaces from the generators only when the kernel needs them.
+``persistence`` reads its pairs as intervals, and ``betti`` counts its
+zero columns, the infinite bars.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
-from operator import and_, itemgetter, lt, not_, or_, rshift
-from typing import Iterator
+from operator import add, and_, itemgetter, lt, mul, rshift, sub, xor
+from typing import Generator, Iterator
 
 from hypercode import _gf2
 from hypercode.codes import SimplicialComplex, _maximal, members, strong_collapse
@@ -111,6 +114,9 @@ class _Generators:
         rank = {value: r for r, value in enumerate(self.values)}
         self.shifts = [rank[value] << n for _, value in kept]
         self.inc = inc
+        # every key and low is below the largest possible key; one more bit
+        # leaves room for -1 in ``_columns``' packed ints
+        self.width = (max(self.shifts, default=0) | self.vertices).bit_length() + 1
 
     def value(self, key: int) -> float:
         return self.values[key >> self.n]
@@ -140,10 +146,17 @@ class _Generators:
         return keys
 
 
-def _columns(gens: _Generators, top: int) -> Iterator[tuple[list[int], list[int]]]:
+def _columns(
+    gens: _Generators, top: int
+) -> Generator[tuple[list[int], list[int]], list[int] | None, None]:
     """Per dimension 0..top, the keys of the generators' faces, ascending
     (youngest first), and each face's low, the key of its oldest coface,
     or -1 if it has none; one dimension at a time, so one is held at once.
+
+    Keys sent back after a dimension, the reduced lows of its columns,
+    leave the next dimension's listing before any key or low is built
+    (clearing: they are pivots one dimension down); -1 is skipped.
+    Iterating sends nothing, so every face is listed.
 
     sigma's low is sigma | max(shift_g | e_g) over the generators g
     strictly containing sigma, e_g the bit of g's largest vertex not in
@@ -154,33 +167,59 @@ def _columns(gens: _Generators, top: int) -> Iterator[tuple[list[int], list[int]
     of the oldest generator containing the face: the face's own.  A face
     that is a generator keeps its own shift, which ``_maximal`` makes older
     than any container's.
+
+    Each face is sorted as one int, key << w | low, w = ``gens.width``,
+    one more than the width of the largest possible key, so every low
+    fits below the top bit of its field and -1 packs as the all-ones
+    field, which unpacks to -1 again.
+    Its key is sigma | shift_g and its low sigma | shift_g | e_g, so the
+    dict maps sigma to the block's packed term, shift_g << w | shift_g |
+    e_g, and the face packs as sigma * (2**w + 1) + that term.
     """
-    high = ~gens.vertices
+    w = gens.width
+    m, ones, half = (1 << w) | 1, (1 << w) - 1, 1 << w - 1
     descending = [[1 << v for v in reversed(list(members(mask)))] for mask in gens.masks]
+    cleared: list[int] | None = None
     for size in range(1, top + 2):
         blocks = []
         for bits, shift in zip(descending, gens.shifts):
             if len(bits) > size:  # a generator is no strict face of itself
-                prefix = 0
+                prefix, base = 0, shift << w | shift
                 for k in range(size + 1):
-                    blocks.append((shift | bits[k], prefix, bits[k + 1 :], size - k))
+                    blocks.append((base | bits[k], prefix, bits[k + 1 :], size - k))
                     prefix |= bits[k]
         blocks.sort(key=itemgetter(0))
         terms: dict[int, int] = {}
         for term, prefix, rest, r in blocks:
             terms.update(zip(map(sum, combinations(rest, r), repeat(prefix)), repeat(term)))
-        own: dict[int, int] = {}  # the generators' own keys and lows
+        own: dict[int, int] = {}  # the generators' own keys -> their packed ints
         for mask, shift in zip(gens.masks, gens.shifts):
             if mask.bit_count() == size:
                 term = terms.pop(mask, None)
-                own[shift | mask] = -1 if term is None else mask | term
-        keys = [*map(or_, terms, map(and_, terms.values(), repeat(high))), *own]
-        lows = [*map(or_, terms, terms.values()), *own.values()]
-        del terms  # peak memory: only the two lists live through the sort and the reduction
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = list(map(keys.__getitem__, order))
-        lows = list(map(lows.__getitem__, order))
-        del order
+                key = shift | mask
+                own[key] = key << w | (ones if term is None else mask | term & ones)
+        for low in cleared or ():
+            if low >= 0:
+                terms.pop(low & gens.vertices, None)
+                own.pop(low, None)
+        packed = [*map(add, map(mul, terms, repeat(m)), terms.values()), *own.values()]
+        del terms, own  # peak memory: only the packed list lives through the sort
+        packed.sort()
+        keys = [*map(rshift, packed, repeat(w))]
+        # the field read as a signed w-bit int: all ones is -1
+        lows = [*map(sub, map(xor, map(and_, packed, repeat(ones)), repeat(half)), repeat(half))]
+        del packed
+        cleared = yield keys, lows
+
+
+def _reduced(gens: _Generators, top: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Per dimension 0..top, the keys of the columns that clearing left
+    and their lows after reduction, -1 for a zeroed column, which is an
+    infinite bar."""
+    columns, lows = _columns(gens, top), None
+    for _ in range(top + 1):
+        keys, lows = columns.send(lows)
+        lows = _gf2.reduce_lows(zip(lows, keys), gens.cofaces)
         yield keys, lows
 
 
@@ -206,9 +245,11 @@ def betti(
     explicit max_dim at or above the cap of such a complex raises
     ``DimCapError``.
 
-    beta_d counts the infinite d-bars of ``persistence`` over the complex
-    with every face at one value, its columns of dimension 0..max_dim, or
-    only up to the complex dimension, above which every beta_d is 0.
+    beta_d counts the zero columns of delta_d that ``_reduced`` leaves
+    over the strong collapse of the complex, every face at one value:
+    the infinite d-bars of ``persistence``.  Columns are listed up to
+    max_dim or the complex dimension, whichever is lower; above the
+    complex every beta_d is 0.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
@@ -220,9 +261,9 @@ def betti(
             f"complex dimension {k.dim} exceeds dim_cap {cap}; "
             f"homology above dimension {cap - 1} unavailable"
         )
-    valued = tuple((mask, 0.0) for mask in k.maximal_simplices)
-    bars = persistence(Filtration(valued, min(max_dim, max(k.dim, 0)), False))
-    return tuple(sum(math.isinf(e) for _, e in bars.in_dim(d)) for d in range(max_dim + 1))
+    gens = _generators(((mask, 0.0) for mask in k.maximal_simplices), collapse=True)
+    counts = [lows.count(-1) for _, lows in _reduced(gens, min(max_dim, max(k.dim, 0)))]
+    return (*counts, *repeat(0, max_dim + 1 - len(counts)))
 
 
 def frequency_filtration(
@@ -252,16 +293,18 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     0 up (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021):
     columns are the d-simplices, youngest first, and rows their cofaces,
     keyed so that a column's low is its oldest coface and the pairs are
-    those of the boundary reduction.  Each column's low comes from
-    :func:`_columns`, listed in bulk with the faces, and the kernel gets
-    each column as its key, with ``_Generators.cofaces`` to build it from
-    the generators only when its low is already a pivot, so an apparent
-    pair costs no column.  A pair (sigma, tau) is the interval (dim sigma,
-    value sigma, value tau); whether it has positive length is read off
-    the value ranks in the keys, and only the intervals reported read
-    values.  Clearing runs upward: a (d+1)-simplex that is already a pivot
-    of delta_d gets no column in delta_{d+1}; a simplex neither paired nor
-    such a pivot is an infinite bar.
+    those of the boundary reduction.  :func:`_reduced` does it: each
+    column's low comes from :func:`_columns`, listed in bulk with the
+    faces, and the kernel gets each column as its key, with
+    ``_Generators.cofaces`` to build it from the generators only when its
+    low is already a pivot, so an apparent pair costs no column.  Clearing
+    runs upward: a (d+1)-simplex that is already a pivot of delta_d leaves
+    the listing of delta_{d+1} before its sort, so every column left is
+    one interval; a simplex neither paired nor such a pivot, a zero
+    column, is an infinite bar.  A pair (sigma, tau) is the interval (dim
+    sigma, value sigma, value tau); whether it has positive length is read
+    off the value ranks in the keys, and only the intervals reported read
+    values.
 
     Zero-length intervals are dropped unless ``keep_zero``; without it,
     the generators are strong-collapsed first, which keeps every interval
@@ -274,22 +317,17 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     gens = _generators(f.generators, collapse=not keep_zero)
     n, value = gens.n, gens.value
     intervals: list[tuple[int, float, float]] = []
-    cleared: set[int] = set()  # keys of the pivots of delta_{d-1}
-    for d, (keys, lows) in enumerate(_columns(gens, f.top - f.truncated)):
-        keep = list(map(not_, map(cleared.__contains__, keys)))
-        live = list(compress(keys, keep))
-        lows = _gf2.reduce_lows(zip(compress(lows, keep), live), gens.cofaces)
-        bars = zip(live, lows)
+    for d, (keys, lows) in enumerate(_reduced(gens, f.top - f.truncated)):
+        bars = zip(keys, lows)
         if not keep_zero:
             # ranks count values from the top, so a bar has positive length
             # iff its low's rank is the smaller; -1 >> n is -1, so every
             # infinite bar passes too
             bars = compress(
-                bars, map(lt, map(rshift, lows, repeat(n)), map(rshift, live, repeat(n)))
+                bars, map(lt, map(rshift, lows, repeat(n)), map(rshift, keys, repeat(n)))
             )
         for key, low in bars:
             intervals.append((d, value(key), value(low) if low >= 0 else math.inf))
-        cleared = set(lows)
     intervals.sort()
     return Barcode(tuple(intervals))
 

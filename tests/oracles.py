@@ -129,6 +129,53 @@ def maximal_naive(family) -> set[tuple[int, ...]]:
     return {s for s in present if s and not any(set(s) < set(t) for t in present)}
 
 
+def strong_collapse_naive(valued) -> list[tuple[int, float]]:
+    """Strong collapse of (mask, value) generators, one pass at a time.
+
+    The generators are filtered as ``maximal_by_value_naive`` does.  A
+    pass visits the vertices in order of first appearance in that list,
+    each mask's vertices ascending, and deletes a vertex from every
+    generator containing it when the intersection of those generators,
+    as the pass has left them, has another vertex; after a pass that
+    deletes one, the generators are filtered again.  Returns the
+    generators as filtered after the first pass that deletes nothing.
+    """
+    kept = maximal_by_value_naive(valued)
+    while True:
+        sets = [{i for i in range(mask.bit_length()) if mask >> i & 1} for mask, _ in kept]
+        order = list(dict.fromkeys(v for s in sets for v in sorted(s)))
+        deleted = False
+        for v in order:
+            containing = [s for s in sets if v in s]
+            if set.intersection(*containing) != {v}:
+                deleted = True
+                for s in containing:
+                    s.discard(v)
+        if not deleted:
+            return kept
+        kept = maximal_by_value_naive(
+            (sum(1 << i for i in s), value) for s, (_, value) in zip(sets, kept)
+        )
+
+
+def maximal_by_value_naive(valued) -> list[tuple[int, float]]:
+    """The (mask, value) pairs that no other contains at a value no later.
+
+    Equal masks merge at their smallest value, in the place of the first;
+    the rest are sorted by value, then by decreasing size, keeping their
+    order on ties, and a pair is kept iff no pair kept before it contains
+    it.  The empty mask is never kept.
+    """
+    first: dict[int, float] = {}
+    for mask, value in valued:
+        first[mask] = min(value, first.get(mask, value))
+    kept: list[tuple[int, float]] = []
+    for mask, value in sorted(first.items(), key=lambda p: (p[1], -bin(p[0]).count("1"))):
+        if mask and not any(mask & other == mask for other, _ in kept):
+            kept.append((mask, value))
+    return kept
+
+
 def generated_complex_naive(family, n: int) -> SimplicialComplex:
     """Smallest complex on the vertices 0..n-1 containing every set of ``family``."""
     maximal = maximal_naive(tuple(sorted(s)) for s in family)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercode.codes import (
     OccurrenceLog,
@@ -22,7 +22,7 @@ from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hy
 from hypercode.topology import level_complex
 
 from conftest import TRIAD_CSV, maximal_tuples
-from oracles import maximal_naive, parse_spike_matrix_naive
+from oracles import maximal_naive, parse_spike_matrix_naive, strong_collapse_naive
 
 
 def _support(word: str) -> tuple[int, ...]:
@@ -339,3 +339,26 @@ def test_strong_collapse_leaves_nothing_to_collapse(family):
         assert s and not any(j != i and s <= t and w <= v for j, (t, w) in enumerate(sets))
     for x in set().union(*(s for s, _ in sets)):
         assert set.intersection(*(s for s, _ in sets if x in s)) == {x}
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 200]), max_size=5),
+            st.integers(0, 3),
+        ),
+        max_size=12,
+    )
+)
+@example([({0, 2}, 1), ({1, 4}, 1), ({3}, 2), ({0, 3}, 1)])  # two shrink to one mask
+@example([({0, 3}, 0), ({2, 3}, 1), ({0, 1}, 2)])  # the vertex order decides which twin goes
+def test_strong_collapse_matches_naive(family):
+    # the kept pairs, in order, are those of the pass-by-pass collapse,
+    # and each vertex's bond set has bit g for the g-th kept pair holding it
+    valued = [(bitmask(s), float(v)) for s, v in family]
+    out, bonds = strong_collapse(valued)
+    assert out == strong_collapse_naive(valued)
+    assert bonds == {
+        v: sum(1 << g for g, (mask, _) in enumerate(out) if mask >> v & 1)
+        for v in set().union(*(members(mask) for mask, _ in out))
+    }

@@ -102,6 +102,10 @@ class TestBetti:
         assert betti(k, 1000) == (1,) + (0,) * 1000
         assert tops == [k.dim]
 
+    def test_huge_max_dim_is_zeros(self):
+        k = generated_complex_naive([(0, 1), (1, 2), (0, 2)], 3)
+        assert betti(k, 10**6) == (1, 1) + (0,) * (10**6 - 1)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -384,6 +388,49 @@ def test_column_lows_match_naive_oracle(generators, top, collapse):
         for keys, lows in _columns(gens, top)
     ]
     assert got == coboundary_lows_naive(kept if collapse else generators, top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 2**7 - 1), st.sampled_from([0.0, 1.0, 2.0, 5.0])),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([1, 2, 3, 5]),
+    st.booleans(),
+    st.integers(0, 2**35 - 1),
+)
+@example([(0b011, 0.0), (0b111, 5.0)], 1, False, 0b100)  # a generator with a coface is cleared
+@example([(0b0111, 0.0), (0b1100, 2.0)], 2, False, 0)  # generators with low -1
+def test_cleared_faces_leave_the_listing(generators, top, collapse, chosen):
+    # keys sent back after dimension d - 1 leave dimension d's listing,
+    # which keeps the order and lows of the full listing, and of the
+    # naive oracle, for every face that stays; -1 clears nothing
+    kept, inc = (strong_collapse if collapse else _maximal)(generators)
+    gens = _Generators(kept, inc)
+    full = list(_columns(gens, top))
+    oracle = coboundary_lows_naive(kept if collapse else generators, top)
+
+    def key_of(mask, value):
+        return gens.values.index(value) << gens.n | mask
+
+    def decoded(key):
+        return key & gens.vertices, gens.value(key)
+
+    for d in range(1, top + 1):
+        rows = [(key_of(mask, value), (mask, value), low) for mask, value, low, _ in oracle[d]]
+        cleared = [-1, *(key for i, (key, _, _) in enumerate(rows) if chosen >> i & 1)]
+        columns = _columns(gens, top)
+        for _ in range(d):
+            next(columns)
+        keys, lows = columns.send(cleared)
+        assert [
+            (key, low) for key, low in zip(*full[d]) if key not in cleared
+        ] == list(zip(keys, lows))
+        assert [
+            (decoded(key), decoded(low) if low >= 0 else None) for key, low in zip(keys, lows)
+        ] == [(face, low) for key, face, low in rows if key not in cleared]
 
 
 class TestPersistence:
