@@ -227,7 +227,9 @@ def nerve_cmd(hs_path, rule, include_levels, clique_budget, output, print_betti,
         raise ParseError("--dot-levels requires --dot")
     try:
         levels = (
-            frozenset(int(x) for x in include_levels.split(",")) if include_levels else None
+            frozenset(int(x) for x in include_levels.split(","))
+            if include_levels is not None
+            else None
         )
     except ValueError:
         raise ParseError(

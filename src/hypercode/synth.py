@@ -7,7 +7,7 @@ reproduces the same matrix on every platform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from hypercode.codes import Pattern, _json_int, matrix_to_csv  # noqa: F401 (re-exported)
 from hypercode.errors import ConfigError, ParseError
@@ -48,6 +48,8 @@ class SynthSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SynthSpec":
         try:
+            if not set(obj) <= {f.name for f in fields(cls)}:
+                raise ParseError(f"synth spec keys must be SynthSpec fields, got {sorted(obj)}")
             if not isinstance(obj["patterns"], dict):
                 raise ParseError(f"patterns must be an object, got {obj['patterns']!r}")
             noise_rate = obj.get("noise_rate", 0.0)

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hypercode.codes import members, parse_spike_matrix
@@ -40,3 +46,17 @@ def triad(triad_log):
 def triad_no_t6():
     _, log = parse_spike_matrix(TRIAD_NO_T6_CSV)
     return build_hyperstructure(log)
+
+
+def limited_cli(cap: int, *args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess whose address space is capped at ``cap`` bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "from hypercode.cli import main; main()", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )

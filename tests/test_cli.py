@@ -1,11 +1,7 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -15,7 +11,7 @@ from hypercode.codes import OccurrenceLog, members
 from hypercode.homology import Barcode, barcodes_to_csv, frequency_filtration
 from hypercode.hyperstructure import BuildConfig, Hyperstructure, build_hyperstructure
 
-from conftest import TRIAD_CSV, matrix_csv
+from conftest import TRIAD_CSV, limited_cli, matrix_csv
 from oracles import betti_naive, filtration_faces_naive, maximal_naive, persistence_naive
 
 
@@ -298,9 +294,10 @@ def test_nerve_include_levels_out_of_range(runner, tmp_path, levels):
     assert not out.exists()
 
 
-def test_nerve_include_levels_not_integers(runner, tmp_path):
+@pytest.mark.parametrize("levels", ["a,b", ""], ids=["a,b", "empty"])
+def test_nerve_include_levels_not_integers(runner, tmp_path, levels):
     _, hs = _pipeline(runner, tmp_path)
-    r = runner.invoke(cli, ["nerve", str(hs), "--include-levels", "a,b"])
+    r = runner.invoke(cli, ["nerve", str(hs), "--include-levels", levels])
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
@@ -561,25 +558,7 @@ def _cross_polytope_artifact(m: int) -> dict:
 # 2^19 cliques of 19 bonds: within the clique budget, but their faces
 # below the dim cap need gigabytes
 CROSS_ARTIFACT = _cross_polytope_artifact(19)
-LIMITED_CLI = (
-    "import resource, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
-    "from hypercode.cli import main\n"
-    "main()\n"
-)
-
-
-def _limited_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a subprocess whose address space is capped at 256 MiB."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", LIMITED_CLI, *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+ADDRESS_SPACE = 256 << 20  # bytes each limited_cli run may map
 
 
 @pytest.mark.parametrize(
@@ -590,7 +569,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, command):
     hs.write_text(json.dumps(CROSS_ARTIFACT))
     name, *flags = command
     paths = [str(hs)] * (2 if name == "compare" else 1)
-    r = _limited_cli(name, *paths, *flags)
+    r = limited_cli(ADDRESS_SPACE, name, *paths, *flags)
     assert r.returncode == 1, r.stderr
     assert r.stderr == "error: out of memory\n"
     assert r.stdout == ""
@@ -599,7 +578,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, command):
 def test_star_nerve_collapses_to_a_point(tmp_path):
     hs = tmp_path / "hs.json"
     hs.write_text(json.dumps(STAR_ARTIFACT))
-    r = _limited_cli("nerve", str(hs), "--betti")
+    r = limited_cli(ADDRESS_SPACE, "nerve", str(hs), "--betti")
     assert r.returncode == 0, r.stderr
     assert r.stdout == "1,0,0,0,0\n"
     assert r.stderr == "note: complex dimension 59 exceeds dim_cap 5; printing beta_0..beta_4\n"
@@ -643,10 +622,10 @@ def test_wide_bond_matches_dense_oracle(tmp_path):
     hs = tmp_path / "hs.json"
     hs.write_text(json.dumps(_level1_artifact(WIDE_BOND)))
     bars = tmp_path / "bars.csv"
-    r = _limited_cli("persist", str(hs), "-o", str(bars))
+    r = limited_cli(ADDRESS_SPACE, "persist", str(hs), "-o", str(bars))
     assert r.returncode == 0, r.stderr
     assert r.stderr.startswith("note: level 1: complex dimension exceeds dim_cap 5")
-    betti = _limited_cli("betti", str(hs), "--level", "1")
+    betti = limited_cli(ADDRESS_SPACE, "betti", str(hs), "--level", "1")
     assert betti.returncode == 0, betti.stderr
     # neurons 4..49 lie in the wide bond alone, so every sublevel complex
     # retracts onto the one where that bond is cut to neurons 0..3: the
@@ -675,7 +654,7 @@ def test_nerve_memory_grows_with_bonds_times_neurons(tmp_path, command):
                       "--dot", str(tmp_path / "g.dot"), "--dot-levels", "1", "0"],
         "compare": ["compare", str(hs), str(hs), "--with-nerve"],
     }[command]
-    r = _limited_cli(*args)
+    r = limited_cli(ADDRESS_SPACE, *args)
     assert r.returncode == 0, r.stderr
     if command == "nerve":
         assert r.stdout == "1,0\n"
@@ -693,7 +672,7 @@ def test_build_max_level_is_only_an_upper_bound(tmp_path):
     artifacts = []
     for bound in ("3", "100000000"):
         hs = tmp_path / f"hs-{bound}.json"
-        r = _limited_cli("build", str(log), "--max-level", bound, "-o", str(hs))
+        r = limited_cli(ADDRESS_SPACE, "build", str(log), "--max-level", bound, "-o", str(hs))
         assert r.returncode == 0, r.stderr
         artifact = json.loads(hs.read_text())
         assert artifact["config"].pop("max_level") == int(bound)
@@ -728,7 +707,7 @@ def test_int_too_large_is_one_error_line(tmp_path, text, argv):
     src = tmp_path / "input"
     src.write_text(text)
     out = tmp_path / "out"
-    r = _limited_cli(*(arg.format(out=out) for arg in argv), str(src))
+    r = limited_cli(ADDRESS_SPACE, *(arg.format(out=out) for arg in argv), str(src))
     assert r.returncode == 1
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
     assert not out.exists()
@@ -739,7 +718,7 @@ def test_synth_empty_schedule_too_many_rows_is_one_error_line(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 10**8, "patterns": {}, "schedule": []}))
     out = tmp_path / "m.csv"
-    r = _limited_cli("synth", str(spec), "-o", str(out))
+    r = limited_cli(ADDRESS_SPACE, "synth", str(spec), "-o", str(out))
     assert r.returncode == 1
     assert r.stderr.startswith("error: spec needs a 100000000 x 0 grid")
     assert len(r.stderr.splitlines()) == 1
@@ -785,6 +764,7 @@ SYNTH_BAD = {
     "names-string": {"n": 3, "patterns": {"a": [0], "b": [1]}, "schedule": [[0, "ab"]]},
     "noise-rate-string": {"n": 3, "patterns": {}, "schedule": [], "noise_rate": "0.5"},
     "noise-rate-bool": {"n": 3, "patterns": {}, "schedule": [], "noise_rate": True},
+    "unknown-key": {"n": 3, "patterns": {"a": [0, 1]}, "schedule": [[0, ["a"]]], "noise": 0.5},
 }
 
 
