@@ -10,6 +10,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -218,14 +219,17 @@ def strong_collapse(
     Pritam & Pareek 2018; Barmak & Minian 2012).
 
     A generator inside another that enters no later adds no face, so
-    :func:`_maximal` drops it first.  A pass tests every vertex in turn,
-    in :func:`_maximal`'s order of first appearance, against the masks as
-    the pass has left them, so of two vertices in the same generators only
-    one goes.  After a pass that deletes a vertex, only a generator it
-    shrank can have come inside another: each is dropped if a generator
-    entering earlier, or at its value and larger, or equal and before it,
-    contains it, and the rest are sorted again, as :func:`_maximal` would
-    filter them.  The collapse stops after a pass that deletes nothing.
+    :func:`_maximal` drops it first.  The first pass tests every vertex
+    in turn, in :func:`_maximal`'s order of first appearance, against the
+    masks as the pass has left them, so of two vertices in the same
+    generators only one goes.  After a pass that deletes a vertex, only a
+    generator it shrank can have come inside another: each is dropped if
+    a generator entering earlier, or at its value and larger, or equal and
+    before it, contains it, and the rest are sorted again, as
+    :func:`_maximal` would filter them.  A shrink only clears bits of the
+    AND, so only a vertex of a dropped generator can have become
+    dominated: the next pass tests those alone, in the same order.  The
+    collapse stops after a pass that deletes nothing, or drops nothing.
     Returns the surviving generators and their vertices' bond sets, as
     :func:`_maximal` does.
     """
@@ -234,7 +238,7 @@ def strong_collapse(
     values = [value for _, value in kept]
     order = list(range(len(kept)))  # indices into kept, whose bits the bond sets keep
     vertices, moved = list(bonds), 0
-    while True:
+    while vertices:
         shrunk = 0
         for v in vertices:
             row, bit, common = bonds[v], 1 << v, -1
@@ -251,6 +255,7 @@ def strong_collapse(
             break
         moved |= shrunk
         place = {g: i for i, g in enumerate(order)}
+        retest = 0  # the vertices of the generators dropped
         for g in members(shrunk):
             containing = -1
             for v in members(masks[g]):
@@ -261,13 +266,16 @@ def strong_collapse(
                 ):
                     for v in members(masks[g]):
                         bonds[v] ^= 1 << g
+                    retest |= masks[g]
                     order.remove(g)
                     break
         order.sort(key=lambda g: (values[g], -masks[g].bit_count()))
-        vertices, seen = [], 0
+        vertices = []
         for g in order:
-            vertices += members(masks[g] & ~seen)
-            seen |= masks[g]
+            if not retest:
+                break
+            vertices += members(masks[g] & retest)
+            retest &= ~masks[g]
     if not moved:
         return kept, bonds
     kept = [(masks[g], values[g]) for g in order]
@@ -276,6 +284,96 @@ def strong_collapse(
         for v in members(mask):
             bonds[v] = bonds.get(v, 0) | 1 << i
     return kept, bonds
+
+
+def edge_collapse(
+    kept: list[tuple[int, float]], bonds: dict[int, int]
+) -> tuple[list[tuple[int, float]], dict[int, int]]:
+    """Delete every edge dominated in every sublevel complex from the
+    generators and bond sets that :func:`_maximal` or
+    :func:`strong_collapse` returns.
+
+    The generators holding an edge {u, v} are its row, bonds[u] &
+    bonds[v].  The edge is dominated iff some other vertex w is in every
+    one of them: then in every sublevel complex holding the edge its link
+    is a cone with apex w, so its closed star is contractible, and so is
+    that star's meet with the rest, the join of u and v with the link.
+    Deleting the edge's open star, each generator g of the row split into
+    g - u and g - v at g's value, is thus a homotopy equivalence in each
+    sublevel complex, and these inclusions commute with the filtration:
+    every bar of positive length and every Betti number is kept
+    (Boissonnat & Pritam 2020).  Such a w is a vertex of any one
+    generator of the row, so only those are tested, each by bonds[w] &
+    row == row.
+
+    The edges are the vertex pairs with a nonzero row, visited fewest
+    common generators first; a pair is listed only if both vertices lie
+    in generators of three vertices or more, as a dominated edge's do.
+    A piece inside a live generator entering no later adds no face and is
+    dropped.  Every vertex of a piece was one of its generator's, so a
+    split leaves no edge newly dominated; only a drop, which takes a
+    generator out of rows, can, and the edges of each dropped piece are
+    tested again, in a later round.  Returns the input if no edge goes,
+    and otherwise the survivors as :func:`_maximal` filters them.
+    """
+    masks = [mask for mask, _ in kept]
+    values = [value for _, value in kept]
+    rows = dict(bonds)
+    wide = 0  # the vertices of generators of three vertices or more
+    for mask in masks:
+        if mask.bit_count() > 2:
+            wide |= mask
+    ends = [(v, rows[v]) for v in members(wide)]
+    edges = [
+        ((row_u & row_v).bit_count(), u, v)
+        for (u, row_u), (v, row_v) in combinations(ends, 2)
+        if row_u & row_v
+    ]
+    removed = False
+    while edges:
+        # per vertex u, the vertices v > u whose edge with u is to be tested
+        # again: a piece holding both was dropped after the edge's last test
+        retest = dict.fromkeys(rows, 0)
+        edges.sort()
+        for _, u, v in edges:
+            retest[u] &= ~(1 << v)
+            edge, row = 1 << u | 1 << v, rows[u] & rows[v]
+            for w in members(masks[(row & -row).bit_length() - 1] ^ edge):
+                if rows[w] & row == row:
+                    break
+            else:
+                continue
+            removed = True
+            for g in members(row):
+                mask, value, bit = masks[g], values[g], 1 << g
+                masks[g] = 0
+                vertices = [*members(mask)]
+                inside = -1  # the generators holding g - {u, v}
+                for x in vertices:
+                    rows[x] ^= bit
+                    if x != u and x != v:
+                        inside &= rows[x]
+                for cut, held in ((u, v), (v, u)):
+                    piece = mask ^ 1 << cut
+                    if any(values[h] <= value for h in members(inside & rows[held])):
+                        for x in vertices:
+                            if x != cut:
+                                retest[x] |= piece
+                    else:
+                        new = 1 << len(masks)
+                        for x in vertices:
+                            if x != cut:
+                                rows[x] |= new
+                        masks.append(piece)
+                        values.append(value)
+        edges = [
+            ((rows[u] & rows[v]).bit_count(), u, v)
+            for u, near in retest.items()
+            for v in members(near >> u + 1 << u + 1)
+        ]
+    if not removed:
+        return kept, bonds
+    return _maximal((mask, value) for mask, value in zip(masks, values) if mask)
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from hypercode.codes import (
     _maximal,
     bin_event_list,
     bitmask,
+    edge_collapse,
     log_from_json_obj,
     log_to_json_obj,
     matrix_to_csv,
@@ -22,7 +25,14 @@ from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hy
 from hypercode.topology import level_complex
 
 from conftest import TRIAD_CSV, maximal_tuples
-from oracles import maximal_naive, parse_spike_matrix_naive, strong_collapse_naive
+from oracles import (
+    filtration_faces_naive,
+    maximal_by_value_naive,
+    maximal_naive,
+    parse_spike_matrix_naive,
+    persistence_naive,
+    strong_collapse_naive,
+)
 
 
 def _support(word: str) -> tuple[int, ...]:
@@ -362,3 +372,45 @@ def test_strong_collapse_matches_naive(family):
         v: sum(1 << g for g, (mask, _) in enumerate(out) if mask >> v & 1)
         for v in set().union(*(members(mask) for mask, _ in out))
     }
+
+
+def _faces(generators) -> dict[tuple[int, ...], float]:
+    """Every face of (mask, value) generators, with the value it enters at."""
+    top = max((mask.bit_count() for mask, _ in generators), default=0) - 1
+    return dict(zip(*filtration_faces_naive(generators, top)))
+
+
+def _bars(generators) -> list[tuple[int, float, float]]:
+    """The (dim, birth, death) intervals of positive length of the filtration."""
+    faces = _faces(generators)
+    return [bar for bar in persistence_naive(list(faces), list(faces.values())) if bar[1] < bar[2]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 64]), max_size=4), st.integers(0, 3)),
+        max_size=8,
+    )
+)
+@example([({0, 1, 2}, 0), ({0, 1, 3}, 0), ({0, 1, 2, 3}, 2)])  # {0, 1} dominated at 2 only
+@example([({0, 1}, 0), ({0, 1, 2, 4}, 1), ({0, 2}, 0)])  # a drop leaves {1, 2} dominated
+@example([({1, 2, 4}, 2), ({1, 2, 4, 5}, 3), ({2, 4, 5}, 0), ({1, 5}, 2)])  # a row at two values
+def test_edge_collapse_keeps_every_bar(family):
+    # the output is a subcomplex at the input's values, filtered as
+    # _maximal filters, with no edge left that another vertex dominates
+    # and every bar of positive length kept
+    kept, bonds = _maximal((bitmask(s), float(v)) for s, v in family)
+    out, out_bonds = edge_collapse(kept, bonds)
+    faces = _faces(kept)
+    assert all(faces.get(face) == value for face, value in _faces(out).items())
+    assert maximal_by_value_naive(out) == out
+    assert out_bonds == {
+        v: sum(1 << g for g, (mask, _) in enumerate(out) if mask >> v & 1)
+        for v in set().union(*(members(mask) for mask, _ in out))
+    }
+    sets = [set(members(mask)) for mask, _ in out]
+    for s in sets:
+        for edge in map(set, combinations(sorted(s), 2)):
+            assert set.intersection(*(t for t in sets if edge <= t)) == edge
+    assert _bars(out) == _bars(kept)
