@@ -193,14 +193,18 @@ def _maximal(
     kept: list[tuple[int, float]] = []
     bonds: dict[int, int] = {}
     for mask, value in sorted(first.items(), key=lambda item: (item[1], -item[0].bit_count())):
-        containing = -1
-        for v in members(mask):
-            containing &= bonds.get(v, 0)
-            if not containing:
-                break
+        containing, rest = -1, mask
+        while rest and containing:
+            low = rest & -rest
+            containing &= bonds.get(low.bit_length() - 1, 0)
+            rest ^= low
         if not containing:
-            for v in members(mask):
-                bonds[v] = bonds.get(v, 0) | 1 << len(kept)
+            bit, rest = 1 << len(kept), mask
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                bonds[v] = bonds.get(v, 0) | bit
+                rest ^= low
             kept.append((mask, value))
     return kept, bonds
 
@@ -242,14 +246,19 @@ def strong_collapse(
         shrunk = 0
         for v in vertices:
             row, bit, common = bonds[v], 1 << v, -1
-            for g in members(row):
-                common &= masks[g]
+            rest = row
+            while rest:
+                low = rest & -rest
+                common &= masks[low.bit_length() - 1]
                 if common == bit:
                     break
+                rest ^= low
             if common != bit:
                 shrunk |= row
-                for g in members(row):
-                    masks[g] ^= bit
+                while row:
+                    low = row & -row
+                    masks[low.bit_length() - 1] ^= bit
+                    row ^= low
                 del bonds[v]
         if not shrunk:
             break
@@ -257,9 +266,11 @@ def strong_collapse(
         place = {g: i for i, g in enumerate(order)}
         retest = 0  # the vertices of the generators dropped
         for g in members(shrunk):
-            containing = -1
-            for v in members(masks[g]):
-                containing &= bonds[v]
+            containing, rest = -1, masks[g]
+            while rest:
+                low = rest & -rest
+                containing &= bonds[low.bit_length() - 1]
+                rest ^= low
             for h in members(containing ^ 1 << g):
                 if values[h] < values[g] or values[h] == values[g] and (
                     masks[h] != masks[g] or place[h] < place[g]
@@ -281,99 +292,173 @@ def strong_collapse(
     kept = [(masks[g], values[g]) for g in order]
     bonds = {}
     for i, (mask, _) in enumerate(kept):
-        for v in members(mask):
-            bonds[v] = bonds.get(v, 0) | 1 << i
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            bonds[v] = bonds.get(v, 0) | bit
+            mask ^= low
     return kept, bonds
 
 
-def edge_collapse(
+def face_collapse(
     kept: list[tuple[int, float]], bonds: dict[int, int]
 ) -> tuple[list[tuple[int, float]], dict[int, int]]:
-    """Delete every edge dominated in every sublevel complex from the
-    generators and bond sets that :func:`_maximal` or
-    :func:`strong_collapse` returns.
+    """Delete every face of two vertices, then of three, dominated in every
+    sublevel complex, from the generators and bond sets that
+    :func:`_maximal` or :func:`strong_collapse` returns.
 
-    The generators holding an edge {u, v} are its row, bonds[u] &
-    bonds[v].  The edge is dominated iff some other vertex w is in every
-    one of them: then in every sublevel complex holding the edge its link
-    is a cone with apex w, so its closed star is contractible, and so is
-    that star's meet with the rest, the join of u and v with the link.
-    Deleting the edge's open star, each generator g of the row split into
-    g - u and g - v at g's value, is thus a homotopy equivalence in each
-    sublevel complex, and these inclusions commute with the filtration:
-    every bar of positive length and every Betti number is kept
-    (Boissonnat & Pritam 2020).  Such a w is a vertex of any one
-    generator of the row, so only those are tested, each by bonds[w] &
-    row == row.
+    The generators holding a face sigma are its row, the AND of its
+    vertices' bond sets.  sigma is dominated iff some vertex w outside it
+    is in every one of them.  Then every face tau containing sigma pairs
+    with tau | w, at the same value, in every sublevel complex, so deleting
+    sigma's open star, each generator g of the row split into g - x for
+    each x in sigma at g's value, is a collapse in each of them, and these
+    inclusions commute with the filtration: every bar of positive length
+    and every Betti number is kept (Boissonnat & Pritam 2020 give the rule
+    for edges; it holds for a face of any size).  Such a w is a vertex of
+    any one generator of the row, so only those of the first are tested,
+    each by bonds[w] & row == row.
 
-    The edges are the vertex pairs with a nonzero row, visited fewest
-    common generators first; a pair is listed only if both vertices lie
-    in generators of three vertices or more, as a dominated edge's do.
-    A piece inside a live generator entering no later adds no face and is
-    dropped.  Every vertex of a piece was one of its generator's, so a
-    split leaves no edge newly dominated; only a drop, which takes a
-    generator out of rows, can, and the edges of each dropped piece are
-    tested again, in a later round.  Returns the input if no edge goes,
-    and otherwise the survivors as :func:`_maximal` filters them.
+    Only a face that a generator of more vertices holds can be dominated.
+    The edges are the vertex pairs whose rows among those generators meet,
+    and the triangles, listed after the edge pass, two such edges from
+    their first vertex; each pass visits its faces fewest common
+    generators first.  A split keeps the first piece kept in g's slot, so
+    only the cut vertex's bond set changes, and puts each further one in a
+    freed slot, or a new one.  A piece g - x inside a live generator
+    entering no later adds no face and is dropped.  No live generator
+    holds another entering no later, so such a generator is outside the
+    row: it holds sigma - x and w but not sigma, and only those are
+    tested.  A split only shrinks the generators holding a face, so it
+    leaves no face newly dominated; only a drop, which takes a generator
+    out of rows, can.  So while a round drops a piece another follows, and
+    it tests again only the faces whose row has changed, or holds a
+    refilled slot, since their last test.  Returns the input if no face
+    goes, and otherwise the survivors as :func:`_maximal` filters them.
     """
     masks = [mask for mask, _ in kept]
     values = [value for _, value in kept]
-    rows = dict(bonds)
-    wide = 0  # the vertices of generators of three vertices or more
-    for mask in masks:
-        if mask.bit_count() > 2:
-            wide |= mask
-    ends = [(v, rows[v]) for v in members(wide)]
-    edges = [
-        ((row_u & row_v).bit_count(), u, v)
-        for (u, row_u), (v, row_v) in combinations(ends, 2)
-        if row_u & row_v
-    ]
-    removed = False
-    while edges:
-        # per vertex u, the vertices v > u whose edge with u is to be tested
-        # again: a piece holding both was dropped after the edge's last test
-        retest = dict.fromkeys(rows, 0)
-        edges.sort()
-        for _, u, v in edges:
-            retest[u] &= ~(1 << v)
-            edge, row = 1 << u | 1 << v, rows[u] & rows[v]
-            for w in members(masks[(row & -row).bit_length() - 1] ^ edge):
-                if rows[w] & row == row:
-                    break
+    rows = {1 << v: row for v, row in bonds.items()}  # keyed by the vertex's bit
+    free: list[int] = []  # the slots of generators split into nothing
+    watched: dict[int, list] = {}  # per size: (face, its vertices, its row at its last test)
+    refilled = 0  # the freed slots refilled in this round; recent, in the last one
+    removed, dropped = False, True
+    while dropped:
+        recent, refilled, dropped = refilled, 0, False
+        for size in 2, 3:
+            if size in watched:
+                faces = watched[size]
             else:
-                continue
-            removed = True
-            for g in members(row):
-                mask, value, bit = masks[g], values[g], 1 << g
-                masks[g] = 0
-                vertices = [*members(mask)]
-                inside = -1  # the generators holding g - {u, v}
-                for x in vertices:
-                    rows[x] ^= bit
-                    if x != u and x != v:
-                        inside &= rows[x]
-                for cut, held in ((u, v), (v, u)):
-                    piece = mask ^ 1 << cut
-                    if any(values[h] <= value for h in members(inside & rows[held])):
-                        for x in vertices:
-                            if x != cut:
-                                retest[x] |= piece
-                    else:
-                        new = 1 << len(masks)
-                        for x in vertices:
-                            if x != cut:
-                                rows[x] |= new
-                        masks.append(piece)
-                        values.append(value)
-        edges = [
-            ((rows[u] & rows[v]).bit_count(), u, v)
-            for u, near in retest.items()
-            for v in members(near >> u + 1 << u + 1)
-        ]
+                listed = sorted(_held_faces(masks, rows, size))  # fewest common generators first
+                faces = [(sigma, verts, 0) for _, sigma, verts in listed]
+            watched[size] = watching = []
+            for sigma, verts, seen in faces:
+                row = -1
+                for x in verts:
+                    row &= rows[x]
+                if not row:
+                    continue
+                if row == seen and not row & (recent | refilled):
+                    watching.append((sigma, verts, seen))
+                    continue
+                rest = masks[(row & -row).bit_length() - 1] ^ sigma
+                while rest:
+                    w = rest & -rest
+                    if rows[w] & row == row:
+                        break
+                    rest ^= w
+                if not rest:
+                    watching.append((sigma, verts, row))
+                    continue
+                removed = True
+                # per cut vertex x, the generators outside the row holding
+                # sigma - x and w: the only ones that can hold a piece g - x
+                # at g's value or earlier, and that the row's splits leave
+                cuts, near = [], 0
+                for x in verts:
+                    holders = rows[w] & ~row
+                    for y in verts:
+                        if y != x:
+                            holders &= rows[y]
+                    cuts.append((x, holders))
+                    near |= holders
+                while row:
+                    bit = row & -row
+                    row ^= bit
+                    g = bit.bit_length() - 1
+                    mask, value = masks[g], values[g]
+                    inside, rest = near, mask ^ sigma ^ w  # of those, the ones holding g - sigma
+                    while rest and inside:
+                        low = rest & -rest
+                        inside &= rows[low]
+                        rest ^= low
+                    slot = g
+                    for x, holders in cuts:
+                        piece = mask ^ x
+                        holders &= inside
+                        while holders:
+                            h = holders & -holders
+                            if values[h.bit_length() - 1] <= value:
+                                break
+                            holders ^= h
+                        if holders:
+                            dropped = True
+                        elif slot == g:
+                            masks[g] = piece
+                            rows[x] ^= bit
+                            slot = -1
+                        else:
+                            if free:
+                                s = free.pop()
+                                masks[s], values[s] = piece, value
+                                refilled |= 1 << s
+                            else:
+                                s = len(masks)
+                                masks.append(piece)
+                                values.append(value)
+                            new, rest = 1 << s, piece
+                            while rest:
+                                low = rest & -rest
+                                rows[low] |= new
+                                rest ^= low
+                    if slot == g:
+                        masks[g] = 0
+                        free.append(g)
+                        rest = mask
+                        while rest:
+                            low = rest & -rest
+                            rows[low] ^= bit
+                            rest ^= low
     if not removed:
         return kept, bonds
     return _maximal((mask, value) for mask, value in zip(masks, values) if mask)
+
+
+def _held_faces(
+    masks: list[int], rows: dict[int, int], size: int
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(count, face, its vertices) for every face of ``size`` vertices, 2 or
+    3, that a generator of more vertices holds, count being the number of
+    those generators; ``rows`` are the bond sets keyed by vertex bit."""
+    # the generators of more than ``size`` vertices, read as one binary
+    # string, in time linear in their number
+    big = int("0" + "".join("1" if mask.bit_count() > size else "0" for mask in reversed(masks)), 2)
+    ends = sorted((v, row & big) for v, row in rows.items() if row & big)
+    edges = [
+        (u, v, both) for (u, row_u), (v, row_v) in combinations(ends, 2) if (both := row_u & row_v)
+    ]
+    if size == 2:
+        return [(row.bit_count(), u | v, (u, v)) for u, v, row in edges]
+    star: dict[int, list[tuple[int, int]]] = {}  # per vertex, its edges to later ones
+    for u, v, row in edges:
+        star.setdefault(u, []).append((v, row))
+    return [
+        (both.bit_count(), u | v | w, (u, v, w))
+        for u, later in star.items()
+        for (v, row_v), (w, row_w) in combinations(later, 2)
+        if (both := row_v & row_w)
+    ]
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:

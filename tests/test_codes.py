@@ -12,7 +12,7 @@ from hypercode.codes import (
     _maximal,
     bin_event_list,
     bitmask,
-    edge_collapse,
+    face_collapse,
     log_from_json_obj,
     log_to_json_obj,
     matrix_to_csv,
@@ -396,12 +396,28 @@ def _bars(generators) -> list[tuple[int, float, float]]:
 @example([({0, 1, 2}, 0), ({0, 1, 3}, 0), ({0, 1, 2, 3}, 2)])  # {0, 1} dominated at 2 only
 @example([({0, 1}, 0), ({0, 1, 2, 4}, 1), ({0, 2}, 0)])  # a drop leaves {1, 2} dominated
 @example([({1, 2, 4}, 2), ({1, 2, 4, 5}, 3), ({2, 4, 5}, 0), ({1, 5}, 2)])  # a row at two values
-def test_edge_collapse_keeps_every_bar(family):
+@example(  # {1, 3, 4} dominated by 5, and none of its edges
+    [
+        ({0, 1, 2, 3}, 0),
+        ({0, 1, 2, 5}, 0),
+        ({0, 2, 3, 5}, 0),
+        ({0, 4}, 0),
+        ({1, 2, 4}, 0),
+        ({1, 3, 4, 5}, 0),
+        ({2, 3, 4}, 0),
+        ({2, 4, 5}, 0),
+    ]
+)
+@example([({1, 3}, 0), ({1, 3, 4, 5}, 3), ({1, 5}, 1), ({3, 4}, 2)])  # {3, 5} after a later drop
+@example(  # a triangle of two generators with no other vertex in common stays
+    [({0, 1, 2, 3}, 0), ({0, 1, 2, 4}, 1), ({0, 2, 3, 4}, 3), ({0, 3, 4, 5}, 1), ({2, 3, 4, 64}, 0)]
+)
+def test_face_collapse_keeps_every_bar(family):
     # the output is a subcomplex at the input's values, filtered as
-    # _maximal filters, with no edge left that another vertex dominates
-    # and every bar of positive length kept
+    # _maximal filters, with no edge or triangle left that another vertex
+    # dominates and every bar of positive length kept
     kept, bonds = _maximal((bitmask(s), float(v)) for s, v in family)
-    out, out_bonds = edge_collapse(kept, bonds)
+    out, out_bonds = face_collapse(kept, bonds)
     faces = _faces(kept)
     assert all(faces.get(face) == value for face, value in _faces(out).items())
     assert maximal_by_value_naive(out) == out
@@ -411,6 +427,7 @@ def test_edge_collapse_keeps_every_bar(family):
     }
     sets = [set(members(mask)) for mask, _ in out]
     for s in sets:
-        for edge in map(set, combinations(sorted(s), 2)):
-            assert set.intersection(*(t for t in sets if edge <= t)) == edge
+        for size in 2, 3:
+            for face in map(set, combinations(sorted(s), size)):
+                assert set.intersection(*(t for t in sets if face <= t)) == face
     assert _bars(out) == _bars(kept)

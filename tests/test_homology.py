@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypercode import homology
-from hypercode.codes import SimplicialComplex, _maximal, bitmask, edge_collapse, strong_collapse
+from hypercode.codes import SimplicialComplex, _maximal, bitmask, face_collapse, strong_collapse
 from hypercode.errors import DimCapError, LevelRangeError
 from hypercode.homology import (
     Filtration,
@@ -370,7 +370,7 @@ def test_column_lows_match_naive_oracle(generators, top, collapse):
     # every face key and low listed in bulk is the face's own value and
     # its oldest coface, and the cofaces the kernel builds from a key are
     # the face's, each once, read off the generators one face at a time
-    kept, inc = edge_collapse(*strong_collapse(generators)) if collapse else _maximal(generators)
+    kept, inc = face_collapse(*strong_collapse(generators)) if collapse else _maximal(generators)
     gens = _Generators(kept, inc)
 
     def decoded(key):
@@ -407,7 +407,7 @@ def test_cleared_faces_leave_the_listing(generators, top, collapse, chosen):
     # keys sent back after dimension d - 1 leave dimension d's listing,
     # which keeps the order and lows of the full listing, and of the
     # naive oracle, for every face that stays; -1 clears nothing
-    kept, inc = edge_collapse(*strong_collapse(generators)) if collapse else _maximal(generators)
+    kept, inc = face_collapse(*strong_collapse(generators)) if collapse else _maximal(generators)
     gens = _Generators(kept, inc)
     full = list(_columns(gens, top))
     oracle = coboundary_lows_naive(kept if collapse else generators, top)
