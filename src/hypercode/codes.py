@@ -10,8 +10,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import lt
+from operator import itemgetter, lt, or_
 from typing import Iterable, Iterator, Sequence
 
 from hypercode.errors import ConfigError, DimensionError, ParseError
@@ -94,6 +95,10 @@ class SimplicialComplex:
 
 
 _BINARY = frozenset(("0", "1"))
+# :func:`_add_bonds` writes masks out in binary from this many on, if their
+# vertices' range is at most this many times their mean size
+_BULK_ADD = 64
+_BULK_SPREAD = 16
 
 
 def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple[int, OccurrenceLog]:
@@ -101,8 +106,21 @@ def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple
 
     Cells must be 0 or 1, with any surrounding whitespace; ragged rows are
     rejected.  Empty bins are retained in the log with an empty mask.
+
+    Plain text, every row one-character 0/1 cells joined by single commas
+    and ended by LF, with no blank line and no header, is read by slicing:
+    its even characters reversed are the cells with the rows bottom up, so
+    each column reads as its mask in binary.  Anything else goes through
+    ``csv.reader``.
     """
     if isinstance(text, str):
+        stride = text.find("\n") + 1  # a plain row of w cells is 2w characters
+        if not header and stride % 2 == 0 < stride and len(text) % stride == 0:
+            width, n = stride // 2, len(text) // stride
+            cells = text[-2::-2]
+            if text[1::2] == ("," * (width - 1) + "\n") * n and not cells.strip("01"):
+                bins = tuple((j, int(cells[width - 1 - j :: width], 2)) for j in range(width))
+                return n, OccurrenceLog(n, bins)
         text = io.StringIO(text)
     rows: list[list[str]] = []
     reader = csv.reader(text)
@@ -184,7 +202,10 @@ def _maximal(
     contains it.  Each vertex has a bond set of the kept masks containing
     it (bit g for the g-th kept); a kept mask contains a mask iff the AND
     of its vertices' bond sets is nonzero, so the empty mask is never
-    kept.  Returns the kept pairs and the vertices' bond sets.
+    kept.  Masks of one value and size cannot contain each other, so each
+    such class is tested against the bond sets as they stand and its kept
+    masks are added at once.  Returns the kept pairs and the vertices' bond
+    sets.
     """
     first: dict[int, float] = {}
     for mask, value in valued:
@@ -192,21 +213,49 @@ def _maximal(
             first[mask] = value
     kept: list[tuple[int, float]] = []
     bonds: dict[int, int] = {}
-    for mask, value in sorted(first.items(), key=lambda item: (item[1], -item[0].bit_count())):
+    fresh: list[int] = []  # the kept masks of the current class, not yet added
+    top = size = None  # the current class: its value and its size, negated
+    by_class = [(value, -mask.bit_count(), mask) for mask, value in first.items()]
+    for value, negsize, mask in sorted(by_class, key=itemgetter(0, 1)):
+        if negsize != size or value != top:
+            if fresh:
+                _add_bonds(bonds, fresh, len(kept) - len(fresh))
+                fresh = []
+            top, size = value, negsize
         containing, rest = -1, mask
         while rest and containing:
             low = rest & -rest
             containing &= bonds.get(low.bit_length() - 1, 0)
             rest ^= low
         if not containing:
-            bit, rest = 1 << len(kept), mask
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                bonds[v] = bonds.get(v, 0) | bit
-                rest ^= low
+            fresh.append(mask)
             kept.append((mask, value))
+    _add_bonds(bonds, fresh, len(kept) - len(fresh))
     return kept, bonds
+
+
+def _add_bonds(bonds: dict[int, int], masks: list[int], start: int) -> None:
+    """Set bit ``start + i`` of the bond set of each vertex of ``masks[i]``.
+
+    Added a bit at a time, each OR copies a bond set as wide as all the
+    masks before it.  So many masks over few vertices are instead written
+    out in binary, the last first, and each vertex's bits read as one
+    column of that text, which costs the text's width per mask.
+    """
+    if len(masks) >= _BULK_ADD:
+        width = max(map(int.bit_length, masks))
+        if width * len(masks) <= _BULK_SPREAD * sum(map(int.bit_count, masks)):
+            text = "".join([format(mask, f"0{width}b") for mask in reversed(masks)])
+            for v in members(reduce(or_, masks)):
+                bonds[v] = bonds.get(v, 0) | int(text[width - 1 - v :: width], 2) << start
+            return
+    for g, rest in enumerate(masks, start):
+        bit = 1 << g
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            bonds[v] = bonds.get(v, 0) | bit
+            rest ^= low
 
 
 def strong_collapse(
@@ -245,15 +294,16 @@ def strong_collapse(
     while vertices:
         shrunk = 0
         for v in vertices:
-            row, bit, common = bonds[v], 1 << v, -1
-            rest = row
+            # v is dominated iff a vertex u of its first generator is in all
+            # of v's: bonds[u] holds the row
+            row, bit = bonds[v], 1 << v
+            rest = masks[(row & -row).bit_length() - 1] ^ bit
             while rest:
                 low = rest & -rest
-                common &= masks[low.bit_length() - 1]
-                if common == bit:
+                if bonds[low.bit_length() - 1] & row == row:
                     break
                 rest ^= low
-            if common != bit:
+            if rest:
                 shrunk |= row
                 while row:
                     low = row & -row
@@ -289,16 +339,9 @@ def strong_collapse(
             retest &= ~masks[g]
     if not moved:
         return kept, bonds
-    kept = [(masks[g], values[g]) for g in order]
     bonds = {}
-    for i, (mask, _) in enumerate(kept):
-        bit = 1 << i
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            bonds[v] = bonds.get(v, 0) | bit
-            mask ^= low
-    return kept, bonds
+    _add_bonds(bonds, [masks[g] for g in order], 0)
+    return [(masks[g], values[g]) for g in order], bonds
 
 
 def face_collapse(
@@ -462,10 +505,9 @@ def _held_faces(
 
 
 def log_to_json_obj(log: OccurrenceLog) -> dict:
-    return {
-        "n": log.n,
-        "bins": [[idx, list(members(active))] for idx, active in log.bins],
-    }
+    """The log as JSON; bins with one mask share one list of its neuron ids."""
+    ids = {active: list(members(active)) for active in {active for _, active in log.bins}}
+    return {"n": log.n, "bins": [[idx, ids[active]] for idx, active in log.bins]}
 
 
 def _json_int(x, what: str) -> int:

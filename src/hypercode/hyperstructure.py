@@ -177,7 +177,9 @@ class _Builder:
     bond ids above) to the bond's id, in first-sighting order; ``bins``
     lists each bond's bins by id.  ``found`` has one dict per level too,
     mapping each mask :meth:`inside` was asked about to the ids it found
-    and the table length it had seen then.
+    and the table length it had seen then.  ``replay`` maps each bin mask
+    processed to what it realized: per level, the ids, the mask queried
+    for them and the level's table length then.
     """
 
     def __init__(self, config: BuildConfig):
@@ -185,6 +187,7 @@ class _Builder:
         self.ids: list[dict[int, int]] = []
         self.bins: list[list[list[int]]] = []
         self.found: list[dict[int, tuple[list[int], int]]] = []
+        self.replay: dict[int, list[list]] = {}  # per level: [ids, mask queried, seen]
         # exact cover only: (-size, members, id, mask) per level-1 bond, sorted
         self.order: list[tuple] = []
 
@@ -227,7 +230,23 @@ class _Builder:
         disjointly in ``order`` when they cover ``active``.  Realizing
         nothing, or (with keep-union-words) a union under exact cover,
         registers ``active`` itself.
+
+        Either way the level-1 answer depends only on the bonds inside
+        ``active``, and the level-(l+1) answer only on those inside the
+        mask of the level-l ids; registering a known mask does nothing.  So
+        a repeated bin replays its last answer unless a bond registered
+        since lies inside one of its queries.  The level-1 table length is
+        taken before the bin registers ``active``: a first answer that
+        registered it (and so, under keep-union-words, differs from a fresh
+        one) finds that bond new on the repeat, which is processed afresh.
         """
+        steps = self.replay.get(active)
+        if steps is not None and self._still_holds(steps):
+            for level_bins, (ids, _, _) in zip(self.bins, steps):
+                for bid in ids:
+                    level_bins[bid].append(t)
+            return
+        seen = len(self.ids[0]) if self.ids else 0
         exact = self.config.decomposition == "exact-cover"
         if not exact:
             realized = self.inside(1, active)
@@ -243,8 +262,10 @@ class _Builder:
                 realized = []
         if not realized or (self.config.keep_union_words and exact and len(realized) >= 2):
             realized.append(self.register(1, active))
-        current = sorted(realized)
+        current, mask = sorted(realized), active
+        self.replay[active] = steps = []
         for level in range(1, self.config.max_level + 1):
+            steps.append([current, mask, seen])
             for bid in current:
                 self.bins[level - 1][bid].append(t)
             if level == self.config.max_level or len(current) < 2:
@@ -253,6 +274,20 @@ class _Builder:
             mask = bitmask(current)
             self.register(level + 1, mask)
             current = self.inside(level + 1, mask)
+            seen = len(self.ids[level])
+
+    def _still_holds(self, steps: list[list]) -> bool:
+        """Whether no bond registered since ``steps`` lies inside a mask
+        they queried.  The table lengths of the levels found clear move up
+        to now; a bin that fails is processed afresh, which replaces them."""
+        for table, step in zip(self.ids, steps):
+            _, mask, seen = step
+            if seen < len(table):
+                for m in islice(table, seen, None):
+                    if m & mask == m:
+                        return False
+                step[2] = len(table)
+        return True
 
 
 def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) -> Hyperstructure:

@@ -170,7 +170,10 @@ BAD_CELLS = ["2", "", "x", "10", "-1", "1 1", "1.0"]
 @st.composite
 def spike_matrix_texts(draw):
     """A 0/1 matrix as CSV text with padded cells, LF or CRLF line ends, blank
-    lines and an optional header, and at most one bad cell or ragged row."""
+    lines and an optional header, and at most one bad cell or ragged row; half
+    the examples are plain: no padding or blank line, no header, and each
+    line ended by LF."""
+    plain = draw(st.booleans())
     rows = draw(
         st.tuples(st.integers(0, 5), st.integers(1, 6)).flatmap(
             lambda shape: st.lists(
@@ -189,18 +192,28 @@ def spike_matrix_texts(draw):
             rows[r].pop()
         else:
             rows[r].append("1")
-    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+    pad = st.sampled_from([""] if plain else ["", "", " ", "  ", "\t"])
     lines = [",".join(draw(pad) + cell + draw(pad) for cell in row) for row in rows]
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(0 if plain else draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), "")
-    header = draw(st.booleans())
+    header = not plain and draw(st.booleans())
     if header:
         lines.insert(0, ",".join(f"t{j}" for j in range(len(rows[0]) if rows else 1)))
+    if plain:
+        return "".join(line + "\n" for line in lines), header
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from(["", end])), header
 
 
 @given(spike_matrix_texts())
+# texts that look plain but are not: an empty cell, a two-character cell,
+# CRLF, a quoted cell, no final line end, a blank line
+@example(("1,0\n0,,\n", False))
+@example(("10,1\n0,1\n", False))
+@example(("1,0\r\n0,1\r\n", False))
+@example(('"1",0\n0,1\n', False))
+@example(("1\n0\n1", False))
+@example(("\n", False))
 @settings(max_examples=300)
 def test_parse_matches_per_cell_oracle(case):
     text, header = case
@@ -328,6 +341,26 @@ def test_generated_complex_no_comparable_maximal(patterns):
 def test_maximal_matches_naive(family):
     kept, _ = _maximal((bitmask(s), 0) for s in family)
     assert {tuple(members(mask)) for mask, _ in kept} == maximal_naive(family)
+
+
+# a class of 64 or more five-vertex masks at one value, whose bond sets are
+# added in bulk, among masks that other classes test against them
+@given(
+    st.sets(st.frozensets(st.integers(0, 9), min_size=5, max_size=5), min_size=64),
+    st.lists(
+        st.tuples(st.frozensets(st.integers(0, 9), min_size=1, max_size=6), st.integers(0, 1)),
+        max_size=100,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_maximal_adds_large_classes_in_bulk(large, family):
+    valued = [(bitmask(s), 0.0) for s in large] + [(bitmask(s), float(v)) for s, v in family]
+    kept, bonds = _maximal(valued)
+    assert kept == maximal_by_value_naive(valued)
+    assert bonds == {
+        v: sum(1 << g for g, (mask, _) in enumerate(kept) if mask >> v & 1)
+        for v in set().union(*(members(mask) for mask, _ in kept))
+    }
 
 
 @given(

@@ -249,6 +249,15 @@ assembly_bins_strategy = st.lists(
 )
 @example([{0, 1, 2}, {0}, {0, 1, 2}, {0}], "subset-realization", 2, False, False)
 @example([{0}, {0, 1, 2}, {1}, {0, 1, 2}], "subset-realization", 2, False, False)
+# a repeated bin meets a bond registered since its last sighting: at level
+# 2, inside the mask of its level-1 ids, and at level 1, inside the bin, in
+# each mode; and a first sighting that registers the union it covers
+@example(
+    [{1, 2, 3}, {1}, {2}, {1, 2, 3}, {1, 2, 3}, {1, 2}, {1, 2, 3}], "subset-realization", 2, False, False
+)
+@example([{0, 1}, {0, 1, 2}, {2}, {0, 1, 2}], "subset-realization", 2, False, False)
+@example([{0}, {1, 2}, {0, 1, 2}, {0, 1}, {0, 1, 2}], "exact-cover", 2, False, False)
+@example([{0, 1}, {2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}], "exact-cover", 2, False, True)
 @settings(max_examples=500, deadline=None)
 def test_build_matches_naive_pass(bins, mode, max_level, two_pass, keep_union):
     config = BuildConfig(max_level, mode, 1, two_pass, keep_union)

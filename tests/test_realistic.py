@@ -44,6 +44,57 @@ LOG_SHA256 = {
 # events-subset's barcodes of every level; perfbench analyses levels 1-2
 # only, and level 3 has a 50-constituent bond
 LEVEL3_BARS_SHA256 = "7f6177376389770a374842c9fd5a014c1d2f3becab9b9ff0136de4e134b9c0ac"
+# each build option's hyperstructure, by recording and decomposition
+BUILD_SHA256 = {
+    ("clean-long", "exact-cover", "--two-pass"):
+        "290611d4ae2c0031a293d357980118412dbd4a82ec3c196ebc3d33eebe1c683a",
+    ("clean-long", "exact-cover", "--keep-union-words"):
+        "13f480e8cfd10d0d1b3200db814df6c8741680e3684266725896e3713f1cf9e6",
+    ("clean-long", "exact-cover", "--min-count 2"):
+        "df1ca97c11e5913ed6e010f7278a169e806ae5cb3bfb225c32ba4538994a3b1d",
+    ("clean-long", "exact-cover", "--max-level 1000000"):
+        "f46c232e5e348a4b5d4f6ffafa95b8a4fdab46bd5ef909639648506b10ca0660",
+    ("clean-long", "subset-realization", "--two-pass"):
+        "313b55370aaf1351712cc6679f7b03f01b9287c00b07de125207a071bdd3ca0d",
+    ("clean-long", "subset-realization", "--keep-union-words"):
+        "d9819072862f8745388aed1d4e52fb712b598a4254672e758f43db90daa28bbd",
+    ("clean-long", "subset-realization", "--min-count 2"):
+        "9244df792c694cee516411e2bc975ee6328dc9cd4b6efc513bd36eaac7b888b4",
+    ("clean-long", "subset-realization", "--max-level 1000000"):
+        "ad4064142b148bf6a35a060902577fd6fbad9eec1e7bd2783b31cbb01cc2e985",
+    ("noisy-wide", "exact-cover", "--two-pass"):
+        "0a322007a9864e6c85adc33affc12ed99eefb98cb327a806134f92b97e2876df",
+    ("noisy-wide", "exact-cover", "--keep-union-words"):
+        "b76b88f56706fb5373a58ad2ea885b179a3bc169664473ffa004267868672cfd",
+    ("noisy-wide", "exact-cover", "--min-count 2"):
+        "3bbe4adfe07ba67f3a70cff3f19f3c6afb6c403dceb0cb6c52d9628a7d8392ae",
+    ("noisy-wide", "exact-cover", "--max-level 1000000"):
+        "8f5e824fba9702b9dbd5b653852694f516af7e5d466d44aed60e809210e128f2",
+    ("noisy-wide", "subset-realization", "--two-pass"):
+        "1f4b42c43f399b41317a2fc8c6385c33f39f2c912914c2d84917e3c52b30d954",
+    ("noisy-wide", "subset-realization", "--keep-union-words"):
+        "d8f700b53762ab896abbf76e093f027573fc2560df04dbd95cef801aff75d9d9",
+    ("noisy-wide", "subset-realization", "--min-count 2"):
+        "4ef84fc08f5f3224dd9394a30bf74edc775c2929e65184b1737e2ad8e8da77ac",
+    ("noisy-wide", "subset-realization", "--max-level 1000000"):
+        "3ee94644a51985c5df70b9c7e3f31dddeff3c8d34fa35d2e806641f7bec4806d",
+    ("events-subset", "exact-cover", "--two-pass"):
+        "11795993daa4218872c1efea231720b62ca6d76931e07ee7b1d3f6eb978c66a6",
+    ("events-subset", "exact-cover", "--keep-union-words"):
+        "36e2a29b34d3043fb77666a1a0d4ea659817896c68446be7e9fe97c73a662138",
+    ("events-subset", "exact-cover", "--min-count 2"):
+        "13e341971a707c52370021346f7d27ddd3e502d1b0c182a42734039afcf4df34",
+    ("events-subset", "exact-cover", "--max-level 1000000"):
+        "4d34b576873ffc6cac377017d82cea256804a9ab2b226f668d1380cee7bd7f52",
+    ("events-subset", "subset-realization", "--two-pass"):
+        "79eeb9d26a14aa5b3136afb37750792b0283c3eda67a90a278820511c8043325",
+    ("events-subset", "subset-realization", "--keep-union-words"):
+        "730107f33390c10dd856df3c9a618259eb5078616e2a72f31cbcec31da754f22",
+    ("events-subset", "subset-realization", "--min-count 2"):
+        "a8873e1df653ecc41ee0668c6efce5cc7869c3f12dd00a3ac4b7b4a8a1c2df07",
+    ("events-subset", "subset-realization", "--max-level 1000000"):
+        "1983fa0b230519f7afacc6130604287b33b8e0578553f808eaf94bfebf1391d3",
+}
 # `betti --level 1`, `--level 2` and `--level 3` on each built recording
 BETTI = {
     "clean-long": ["1,0,0,0,0", "70,25,0", "51,1,0,0"],
@@ -152,6 +203,7 @@ def test_build_writes_the_same_bytes_twice(rec, tmp_path, name, decomposition, o
     cli(*argv, "-o", tmp_path / "hs-1.json")
     cli(*argv, "-o", tmp_path / "hs-2.json")
     assert (tmp_path / "hs-1.json").read_bytes() == (tmp_path / "hs-2.json").read_bytes()
+    assert sha256(tmp_path / "hs-1.json") == BUILD_SHA256[name, decomposition, option]
 
 
 @pytest.mark.parametrize("name", BETTI)
