@@ -258,98 +258,12 @@ def _add_bonds(bonds: dict[int, int], masks: list[int], start: int) -> None:
             rest ^= low
 
 
-def strong_collapse(
-    valued: Iterable[tuple[int, float]],
-) -> tuple[list[tuple[int, float]], dict[int, int]]:
-    """Strong-collapse a filtration given by its (mask, value) generators.
-
-    Every face of a generator enters at the smallest value of a generator
-    containing it.  A vertex v is dominated in every sublevel complex at
-    once iff every generator containing v contains some other vertex u:
-    the AND of their masks has a bit other than v.  Deleting v from those
-    generators retracts each sublevel complex onto the rest (v to u), so
-    the persistence module is kept, apart from zero-length bars (Boissonnat,
-    Pritam & Pareek 2018; Barmak & Minian 2012).
-
-    A generator inside another that enters no later adds no face, so
-    :func:`_maximal` drops it first.  The first pass tests every vertex
-    in turn, in :func:`_maximal`'s order of first appearance, against the
-    masks as the pass has left them, so of two vertices in the same
-    generators only one goes.  After a pass that deletes a vertex, only a
-    generator it shrank can have come inside another: each is dropped if
-    a generator entering earlier, or at its value and larger, or equal and
-    before it, contains it, and the rest are sorted again, as
-    :func:`_maximal` would filter them.  A shrink only clears bits of the
-    AND, so only a vertex of a dropped generator can have become
-    dominated: the next pass tests those alone, in the same order.  The
-    collapse stops after a pass that deletes nothing, or drops nothing.
-    Returns the surviving generators and their vertices' bond sets, as
-    :func:`_maximal` does.
-    """
-    kept, bonds = _maximal(valued)
-    masks = [mask for mask, _ in kept]
-    values = [value for _, value in kept]
-    order = list(range(len(kept)))  # indices into kept, whose bits the bond sets keep
-    vertices, moved = list(bonds), 0
-    while vertices:
-        shrunk = 0
-        for v in vertices:
-            # v is dominated iff a vertex u of its first generator is in all
-            # of v's: bonds[u] holds the row
-            row, bit = bonds[v], 1 << v
-            rest = masks[(row & -row).bit_length() - 1] ^ bit
-            while rest:
-                low = rest & -rest
-                if bonds[low.bit_length() - 1] & row == row:
-                    break
-                rest ^= low
-            if rest:
-                shrunk |= row
-                while row:
-                    low = row & -row
-                    masks[low.bit_length() - 1] ^= bit
-                    row ^= low
-                del bonds[v]
-        if not shrunk:
-            break
-        moved |= shrunk
-        place = {g: i for i, g in enumerate(order)}
-        retest = 0  # the vertices of the generators dropped
-        for g in members(shrunk):
-            containing, rest = -1, masks[g]
-            while rest:
-                low = rest & -rest
-                containing &= bonds[low.bit_length() - 1]
-                rest ^= low
-            for h in members(containing ^ 1 << g):
-                if values[h] < values[g] or values[h] == values[g] and (
-                    masks[h] != masks[g] or place[h] < place[g]
-                ):
-                    for v in members(masks[g]):
-                        bonds[v] ^= 1 << g
-                    retest |= masks[g]
-                    order.remove(g)
-                    break
-        order.sort(key=lambda g: (values[g], -masks[g].bit_count()))
-        vertices = []
-        for g in order:
-            if not retest:
-                break
-            vertices += members(masks[g] & retest)
-            retest &= ~masks[g]
-    if not moved:
-        return kept, bonds
-    bonds = {}
-    _add_bonds(bonds, [masks[g] for g in order], 0)
-    return [(masks[g], values[g]) for g in order], bonds
-
-
 def face_collapse(
     kept: list[tuple[int, float]], bonds: dict[int, int]
 ) -> tuple[list[tuple[int, float]], dict[int, int]]:
-    """Delete every face of two vertices, then of three, dominated in every
-    sublevel complex, from the generators and bond sets that
-    :func:`_maximal` or :func:`strong_collapse` returns.
+    """Delete every face of one vertex, then of two, then of three,
+    dominated in every sublevel complex, from the generators and bond sets
+    that :func:`_maximal` returns.
 
     The generators holding a face sigma are its row, the AND of its
     vertices' bond sets.  sigma is dominated iff some vertex w outside it
@@ -358,27 +272,30 @@ def face_collapse(
     sigma's open star, each generator g of the row split into g - x for
     each x in sigma at g's value, is a collapse in each of them, and these
     inclusions commute with the filtration: every bar of positive length
-    and every Betti number is kept (Boissonnat & Pritam 2020 give the rule
-    for edges; it holds for a face of any size).  Such a w is a vertex of
-    any one generator of the row, so only those of the first are tested,
-    each by bonds[w] & row == row.
+    and every Betti number is kept (Boissonnat, Pritam & Pareek 2018 give
+    the rule for vertices, the strong collapse, and Boissonnat & Pritam
+    2020 for edges; it holds for a face of any size).  Such a w is a
+    vertex of any one generator of the row, so only those of the first
+    are tested, each by bonds[w] & row == row.
 
     Only a face that a generator of more vertices holds can be dominated.
-    The edges are the vertex pairs whose rows among those generators meet,
-    and the triangles, listed after the edge pass, two such edges from
-    their first vertex; each pass visits its faces fewest common
-    generators first.  A split keeps the first piece kept in g's slot, so
-    only the cut vertex's bond set changes, and puts each further one in a
-    freed slot, or a new one.  A piece g - x inside a live generator
-    entering no later adds no face and is dropped.  No live generator
-    holds another entering no later, so such a generator is outside the
-    row: it holds sigma - x and w but not sigma, and only those are
-    tested.  A split only shrinks the generators holding a face, so it
-    leaves no face newly dominated; only a drop, which takes a generator
-    out of rows, can.  So while a round drops a piece another follows, and
-    it tests again only the faces whose row has changed, or holds a
-    refilled slot, since their last test.  Returns the input if no face
-    goes, and otherwise the survivors as :func:`_maximal` filters them.
+    The vertices are those of such generators, the edges the vertex pairs
+    whose rows among those generators meet, and the triangles, listed
+    after the edge pass, two such edges from their first vertex; each
+    pass visits its faces fewest common generators first.  A split keeps
+    the first piece kept in g's slot, so only the cut vertex's bond set
+    changes, and puts each further one in a freed slot, or a new one.  A
+    vertex has one piece, g without it, so it only shrinks or drops
+    generators.  A piece g - x inside a live generator entering no later
+    adds no face and is dropped.  No live generator holds another entering
+    no later, so such a generator is outside the row: it holds sigma - x
+    and w but not sigma, and only those are tested.  A split only shrinks
+    the generators holding a face, so it leaves no face newly dominated;
+    only a drop, which takes a generator out of rows, can.  So while a
+    round drops a piece another follows, and it tests again only the faces
+    whose row has changed, or holds a refilled slot, since their last
+    test.  Returns the input if no face goes, and otherwise the survivors
+    as :func:`_maximal` filters them.
     """
     masks = [mask for mask, _ in kept]
     values = [value for _, value in kept]
@@ -389,7 +306,7 @@ def face_collapse(
     removed, dropped = False, True
     while dropped:
         recent, refilled, dropped = refilled, 0, False
-        for size in 2, 3:
+        for size in 1, 2, 3:
             if size in watched:
                 faces = watched[size]
             else:
@@ -481,13 +398,15 @@ def face_collapse(
 def _held_faces(
     masks: list[int], rows: dict[int, int], size: int
 ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(count, face, its vertices) for every face of ``size`` vertices, 2 or
+    """(count, face, its vertices) for every face of ``size`` vertices, 1 to
     3, that a generator of more vertices holds, count being the number of
     those generators; ``rows`` are the bond sets keyed by vertex bit."""
     # the generators of more than ``size`` vertices, read as one binary
     # string, in time linear in their number
     big = int("0" + "".join("1" if mask.bit_count() > size else "0" for mask in reversed(masks)), 2)
     ends = sorted((v, row & big) for v, row in rows.items() if row & big)
+    if size == 1:
+        return [(row.bit_count(), v, (v,)) for v, row in ends]
     edges = [
         (u, v, both) for (u, row_u), (v, row_v) in combinations(ends, 2) if (both := row_u & row_v)
     ]

@@ -3,15 +3,15 @@
 A filtration is stored as its generators: (mask, value) pairs, bit i of
 a mask for vertex i, every face of which enters at the smallest value of
 a generator containing it (the bonds for ``frequency_filtration``, the
-maximal simplices at one value for ``betti``).  They are strong-collapsed
-(:func:`hypercode.codes.strong_collapse`) and then rid of their dominated
-edges and triangles (:func:`hypercode.codes.face_collapse`), or only
-filtered by :func:`hypercode.codes._maximal` where ``persistence`` keeps
-zero-length bars; ``_Generators`` indexes what is left by the vertex bond
-sets of that filter.  ``_columns`` lists the faces of each column
-dimension together with each face's low, its oldest coface, in one bulk
-pass over blocks of each generator's faces; the faces that clearing
-pairs one dimension down leave the listing before its one sort.
+maximal simplices at one value for ``betti``).  They are filtered by
+:func:`hypercode.codes._maximal` and then rid of their dominated
+vertices, edges and triangles (:func:`hypercode.codes.face_collapse`),
+or only filtered where ``persistence`` keeps zero-length bars;
+``_Generators`` indexes what is left by the vertex bond sets of that
+filter.  ``_columns`` lists the faces of each column dimension together
+with each face's low, its oldest coface, in one bulk pass over blocks of
+each generator's faces; the faces that clearing pairs one dimension down
+leave the listing before its one sort.
 ``_reduced`` is the only reduction (coboundary, bottom up, with
 clearing; inner loop in :mod:`hypercode._gf2`), and generates a column's
 cofaces from the generators only when the kernel needs them.
@@ -29,7 +29,7 @@ from operator import add, and_, itemgetter, lt, mul, rshift, sub, xor
 from typing import Generator, Iterator
 
 from hypercode import _gf2
-from hypercode.codes import SimplicialComplex, _maximal, face_collapse, members, strong_collapse
+from hypercode.codes import SimplicialComplex, _maximal, face_collapse, members
 from hypercode.errors import ConfigError, DimCapError
 from hypercode.hyperstructure import Hyperstructure, level_generators
 
@@ -90,12 +90,12 @@ class Filtration:
 
 def _generators(generators, collapse: bool) -> "_Generators":
     """The generators indexed for listing, as :func:`_maximal` filters
-    them, or, with ``collapse``, after their strong collapse and then the
-    collapse of their dominated edges and triangles: the smaller filtration
-    has every bar of positive length and every Betti number of the given
-    one, but not its zero-length bars."""
+    them, or, with ``collapse``, after the collapse of their dominated
+    vertices, edges and triangles: the smaller filtration has every bar of
+    positive length and every Betti number of the given one, but not its
+    zero-length bars."""
     if collapse:
-        return _Generators(*face_collapse(*strong_collapse(generators)))
+        return _Generators(*face_collapse(*_maximal(generators)))
     return _Generators(*_maximal(generators))
 
 
@@ -104,7 +104,7 @@ class _Generators:
 
     Bit i of a mask is vertex i.  The generators, in value order, and
     ``inc``, each vertex's bond set (bit g for generator g), come from
-    :func:`hypercode.codes._maximal` or its strong collapse, so the
+    :func:`hypercode.codes._maximal` or its face collapse, so the
     generators containing sigma are the AND of its vertices' rows, which
     ``cofaces`` reads to build the column of a key the kernel passes back;
     a generator equal to sigma adds no coface.  The key of a simplex is
@@ -254,11 +254,10 @@ def betti(
     ``DimCapError``.
 
     beta_d counts the zero columns of delta_d that ``_reduced`` leaves
-    over the strong collapse of the complex and then the collapse of its
-    dominated edges and triangles, every face at one value: the infinite
-    d-bars of ``persistence``.  Columns are listed up to
-    max_dim or the complex dimension, whichever is lower; above the
-    complex every beta_d is 0.
+    over the complex rid of its dominated vertices, edges and triangles,
+    every face at one value: the infinite d-bars of ``persistence``.
+    Columns are listed up to max_dim or the complex dimension, whichever
+    is lower; above the complex every beta_d is 0.
     """
     cap = resolve_dim_cap(dim_cap)
     if max_dim is None:
@@ -316,11 +315,11 @@ def persistence(f: Filtration, keep_zero: bool = False) -> Barcode:
     values.
 
     Zero-length intervals are dropped unless ``keep_zero``; without it,
-    the generators are strong-collapsed and then rid of their dominated
-    edges and triangles first (:func:`_generators`), which keeps every
-    interval of positive length, can shrink a wide generator to a few
-    vertices and, on noisy recordings, leaves under a fiftieth of the
-    faces above dimension 1.
+    the generators are rid of their dominated vertices, edges and
+    triangles first (:func:`_generators`), which keeps every interval of
+    positive length, can shrink a wide generator to a few vertices and,
+    on noisy recordings, leaves under a fiftieth of the faces above
+    dimension 1.
     ``top`` and ``truncated`` stay those of ``f``: the columns run over
     dimensions 0..top, or below the cap on a truncated filtration, so
     every interval of dimension cap and above is dropped from its

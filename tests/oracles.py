@@ -129,35 +129,6 @@ def maximal_naive(family) -> set[tuple[int, ...]]:
     return {s for s in present if s and not any(set(s) < set(t) for t in present)}
 
 
-def strong_collapse_naive(valued) -> list[tuple[int, float]]:
-    """Strong collapse of (mask, value) generators, one pass at a time.
-
-    The generators are filtered as ``maximal_by_value_naive`` does.  A
-    pass visits the vertices in order of first appearance in that list,
-    each mask's vertices ascending, and deletes a vertex from every
-    generator containing it when the intersection of those generators,
-    as the pass has left them, has another vertex; after a pass that
-    deletes one, the generators are filtered again.  Returns the
-    generators as filtered after the first pass that deletes nothing.
-    """
-    kept = maximal_by_value_naive(valued)
-    while True:
-        sets = [{i for i in range(mask.bit_length()) if mask >> i & 1} for mask, _ in kept]
-        order = list(dict.fromkeys(v for s in sets for v in sorted(s)))
-        deleted = False
-        for v in order:
-            containing = [s for s in sets if v in s]
-            if set.intersection(*containing) != {v}:
-                deleted = True
-                for s in containing:
-                    s.discard(v)
-        if not deleted:
-            return kept
-        kept = maximal_by_value_naive(
-            (sum(1 << i for i in s), value) for s, (_, value) in zip(sets, kept)
-        )
-
-
 def maximal_by_value_naive(valued) -> list[tuple[int, float]]:
     """The (mask, value) pairs that no other contains at a value no later.
 

@@ -522,7 +522,7 @@ def test_bad_input_is_one_error_line(runner, tmp_path, text, command):
 
 # each pair of the 60 level-1 bonds {0, b + 1} meets at neuron 0, so the
 # nerve is one 59-simplex: its faces below the dim cap would need
-# gigabytes, but it strong-collapses to a point
+# gigabytes, but it collapses to a point
 STAR_ARTIFACT = {
     "n": 61,
     "config": BuildConfig().to_json_obj(),

@@ -18,7 +18,6 @@ from hypercode.codes import (
     matrix_to_csv,
     members,
     parse_spike_matrix,
-    strong_collapse,
 )
 from hypercode.errors import ConfigError, DimensionError, HypercodeError, ParseError
 from hypercode.hyperstructure import Bond, BuildConfig, Hyperstructure, build_hyperstructure
@@ -31,7 +30,6 @@ from oracles import (
     maximal_naive,
     parse_spike_matrix_naive,
     persistence_naive,
-    strong_collapse_naive,
 )
 
 
@@ -363,50 +361,6 @@ def test_maximal_adds_large_classes_in_bulk(large, family):
     }
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 200]), max_size=5),
-            st.integers(0, 3),
-        ),
-        max_size=12,
-    )
-)
-def test_strong_collapse_leaves_nothing_to_collapse(family):
-    # the barcode it keeps is checked by the persistence oracle tests; here,
-    # that no vertex is left dominated and no generator inside another
-    # entering no later
-    out, _ = strong_collapse((bitmask(s), float(v)) for s, v in family)
-    sets = [(set(members(mask)), v) for mask, v in out]
-    for i, (s, v) in enumerate(sets):
-        assert s and not any(j != i and s <= t and w <= v for j, (t, w) in enumerate(sets))
-    for x in set().union(*(s for s, _ in sets)):
-        assert set.intersection(*(s for s, _ in sets if x in s)) == {x}
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 200]), max_size=5),
-            st.integers(0, 3),
-        ),
-        max_size=12,
-    )
-)
-@example([({0, 2}, 1), ({1, 4}, 1), ({3}, 2), ({0, 3}, 1)])  # two shrink to one mask
-@example([({0, 3}, 0), ({2, 3}, 1), ({0, 1}, 2)])  # the vertex order decides which twin goes
-def test_strong_collapse_matches_naive(family):
-    # the kept pairs, in order, are those of the pass-by-pass collapse,
-    # and each vertex's bond set has bit g for the g-th kept pair holding it
-    valued = [(bitmask(s), float(v)) for s, v in family]
-    out, bonds = strong_collapse(valued)
-    assert out == strong_collapse_naive(valued)
-    assert bonds == {
-        v: sum(1 << g for g, (mask, _) in enumerate(out) if mask >> v & 1)
-        for v in set().union(*(members(mask) for mask, _ in out))
-    }
-
-
 def _faces(generators) -> dict[tuple[int, ...], float]:
     """Every face of (mask, value) generators, with the value it enters at."""
     top = max((mask.bit_count() for mask, _ in generators), default=0) - 1
@@ -422,10 +376,15 @@ def _bars(generators) -> list[tuple[int, float, float]]:
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 64]), max_size=4), st.integers(0, 3)),
+        st.tuples(
+            st.sets(st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 200]), max_size=4),
+            st.integers(0, 3),
+        ),
         max_size=8,
     )
 )
+@example([({0, 2}, 1), ({1, 4}, 1), ({3}, 2), ({0, 3}, 1)])  # two shrink to one mask
+@example([({0, 3}, 0), ({2, 3}, 1), ({0, 1}, 2)])  # the visiting order decides which twin goes
 @example([({0, 1, 2}, 0), ({0, 1, 3}, 0), ({0, 1, 2, 3}, 2)])  # {0, 1} dominated at 2 only
 @example([({0, 1}, 0), ({0, 1, 2, 4}, 1), ({0, 2}, 0)])  # a drop leaves {1, 2} dominated
 @example([({1, 2, 4}, 2), ({1, 2, 4, 5}, 3), ({2, 4, 5}, 0), ({1, 5}, 2)])  # a row at two values
@@ -447,8 +406,8 @@ def _bars(generators) -> list[tuple[int, float, float]]:
 )
 def test_face_collapse_keeps_every_bar(family):
     # the output is a subcomplex at the input's values, filtered as
-    # _maximal filters, with no edge or triangle left that another vertex
-    # dominates and every bar of positive length kept
+    # _maximal filters, with no vertex, edge or triangle left that another
+    # vertex dominates and every bar of positive length kept
     kept, bonds = _maximal((bitmask(s), float(v)) for s, v in family)
     out, out_bonds = face_collapse(kept, bonds)
     faces = _faces(kept)
@@ -460,7 +419,7 @@ def test_face_collapse_keeps_every_bar(family):
     }
     sets = [set(members(mask)) for mask, _ in out]
     for s in sets:
-        for size in 2, 3:
+        for size in 1, 2, 3:
             for face in map(set, combinations(sorted(s), size)):
                 assert set.intersection(*(t for t in sets if face <= t)) == face
     assert _bars(out) == _bars(kept)

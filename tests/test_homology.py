@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypercode import homology
-from hypercode.codes import SimplicialComplex, _maximal, bitmask, face_collapse, strong_collapse
+from hypercode.codes import SimplicialComplex, _maximal, bitmask, face_collapse
 from hypercode.errors import DimCapError, LevelRangeError
 from hypercode.homology import (
     Filtration,
@@ -341,8 +341,8 @@ def _flag_filtrations(draw):
 @given(_flag_filtrations(), st.sampled_from([1, 2, 3, 5]), st.booleans())
 def test_persistence_from_values_matches_dense_oracle(filtration, cap, keep_zero):
     # every drawn simplex is a generator at its own value; without
-    # keep_zero they are strong-collapsed first, and a face entering
-    # before its cofaces must stay
+    # keep_zero they are collapsed first, and a face entering before its
+    # cofaces must stay
     k, values = filtration
     generators = tuple((bitmask(s), value) for s, value in values.items())
     f = Filtration(generators, min(k.dim, cap), k.dim > cap)
@@ -370,7 +370,7 @@ def test_column_lows_match_naive_oracle(generators, top, collapse):
     # every face key and low listed in bulk is the face's own value and
     # its oldest coface, and the cofaces the kernel builds from a key are
     # the face's, each once, read off the generators one face at a time
-    kept, inc = face_collapse(*strong_collapse(generators)) if collapse else _maximal(generators)
+    kept, inc = face_collapse(*_maximal(generators)) if collapse else _maximal(generators)
     gens = _Generators(kept, inc)
 
     def decoded(key):
@@ -407,7 +407,7 @@ def test_cleared_faces_leave_the_listing(generators, top, collapse, chosen):
     # keys sent back after dimension d - 1 leave dimension d's listing,
     # which keeps the order and lows of the full listing, and of the
     # naive oracle, for every face that stays; -1 clears nothing
-    kept, inc = face_collapse(*strong_collapse(generators)) if collapse else _maximal(generators)
+    kept, inc = face_collapse(*_maximal(generators)) if collapse else _maximal(generators)
     gens = _Generators(kept, inc)
     full = list(_columns(gens, top))
     oracle = coboundary_lows_naive(kept if collapse else generators, top)

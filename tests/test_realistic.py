@@ -101,8 +101,7 @@ BETTI = {
     "noisy-wide": ["1,1,8,25,17", "412,59,0", "127,0,0"],
     "events-subset": ["1,1,0,0,0", "1,0,29,0,0", "1,37,7,0,0"],
 }
-# `compare` reads the second session too; `persist --keep-zero` runs no
-# strong collapse
+# `compare` reads the second session too; `persist --keep-zero` runs no collapse
 OUTPUT_SHA256 = {
     ("clean-long", "nerve"): "0714860d4505eec57e879b8a72739cffc072a14c69be0c233b517cb73bf60e9b",
     ("events-subset", "nerve"): "420e4ff782fbcbb9ed2a40a6ac591de4a8d077a358f483aefa5ccbf94fce6eab",

@@ -1,5 +1,5 @@
-"""The test configuration, the package's export list, the oracles' independence
-and unused imports."""
+"""The test configuration, the package's export list, the oracles' independence,
+unused imports and unused definitions."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 TESTS = Path(__file__).resolve().parent
 ORACLES = TESTS / "oracles.py"
 PACKAGE = TESTS.parent / "src" / "hypercode"
+PERFBENCH_RUN = TESTS.parent / "perfbench" / "run.py"
 
 PROPERTY_TESTS = """
 from hypothesis import given, settings, strategies as st
@@ -91,3 +92,37 @@ def test_every_imported_name_is_read():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+def _is_cli_command(decorator: ast.expr) -> bool:
+    """Whether ``decorator`` is ``@cli.command`` or ``@cli.group``, called or not."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (
+        isinstance(target, ast.Attribute)
+        and target.attr in ("command", "group")
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "cli"
+    )
+
+
+def test_every_definition_is_read_by_the_program():
+    # a function or class that only the tests read is a superseded path;
+    # click reaches the commands through their decorators
+    read = set(hypercode.__all__)
+    for path in [*PACKAGE.glob("*.py"), PERFBENCH_RUN]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "codes.py" in paths
+    unread = [
+        f"{path.name} {node.name}"
+        for path in paths
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read
+        and not any(map(_is_cli_command, node.decorator_list))
+    ]
+    assert unread == []
