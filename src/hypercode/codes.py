@@ -49,6 +49,8 @@ class OccurrenceLog:
             raise DimensionError(f"neuron count must be >= 0, got {self.n}")
         prev = -1
         for idx, active in self.bins:
+            if idx < 0:
+                raise DimensionError(f"bin index {idx} is negative")
             if idx <= prev:
                 raise DimensionError("bin indices must be strictly increasing")
             prev = idx

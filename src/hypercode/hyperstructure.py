@@ -160,11 +160,13 @@ class Hyperstructure:
 
 
 def _increasing(xs, what: str, universe: int | None = None) -> tuple[int, ...]:
-    """Strictly increasing ints, each in 0..universe-1 when a universe is given."""
+    """Strictly increasing non-negative ints, each below universe when one is given."""
     out = tuple(_json_int(x, what) for x in xs)
     if any(a >= b for a, b in zip(out, out[1:])):
         raise ParseError(f"{what} must be strictly increasing, got {list(out)}")
-    if universe is not None and out and (out[0] < 0 or out[-1] >= universe):
+    if out and out[0] < 0:
+        raise ParseError(f"{what} {list(out)} include the negative index {out[0]}")
+    if universe is not None and out and out[-1] >= universe:
         raise ParseError(f"{what} {list(out)} outside 0..{universe - 1}")
     return out
 
@@ -172,22 +174,20 @@ def _increasing(xs, what: str, universe: int | None = None) -> tuple[int, ...]:
 class _Builder:
     """Mutable working state for one chronological pass.
 
-    ``ids`` has one dict per level that a bin has reached.  It maps each
-    bond's constituents as a bitmask (neuron bits at level 1, lower-level
-    bond ids above) to the bond's id, in first-sighting order; ``bins``
-    lists each bond's bins by id.  ``found`` has one dict per level too,
-    mapping each mask :meth:`inside` was asked about to the ids it found
-    and the table length it had seen then.  ``replay`` maps each bin mask
-    processed to what it realized: per level, the ids, the mask queried
-    for them and the level's table length then.
+    ``ids`` has one dict per level that a bin has reached, level 1 from
+    the start.  It maps each bond's constituents as a bitmask (neuron bits
+    at level 1, lower-level bond ids above) to the bond's id, in
+    first-sighting order; ``bins`` lists each bond's bins by id.  ``memo``
+    has one dict per level too, mapping each query mask to its answer: the
+    ids, ascending, their mask (the next level's query) and the level's
+    table length when the answer was last brought up to date.
     """
 
     def __init__(self, config: BuildConfig):
         self.config = config
-        self.ids: list[dict[int, int]] = []
-        self.bins: list[list[list[int]]] = []
-        self.found: list[dict[int, tuple[list[int], int]]] = []
-        self.replay: dict[int, list[list]] = {}  # per level: [ids, mask queried, seen]
+        self.ids: list[dict[int, int]] = [{}]
+        self.bins: list[list[list[int]]] = [[]]
+        self.memo: list[dict[int, list]] = [{}]  # per query: [ids, their mask, seen]
         # exact cover only: (-size, members, id, mask) per level-1 bond, sorted
         self.order: list[tuple] = []
 
@@ -195,7 +195,7 @@ class _Builder:
         if level > len(self.ids):
             self.ids.append({})
             self.bins.append([])
-            self.found.append({})
+            self.memo.append({})
         table = self.ids[level - 1]
         bid = table.get(mask)
         if bid is None:
@@ -205,23 +205,6 @@ class _Builder:
                 bisect.insort(self.order, (-mask.bit_count(), tuple(members(mask)), bid, mask))
         return bid
 
-    def inside(self, level: int, mask: int) -> list[int]:
-        """Ids, ascending, of the level's bonds whose masks lie inside ``mask``.
-
-        A repeated query scans only the bonds registered since the last
-        one; their ids are larger, so the answer stays ascending.  The
-        list returned is the caller's to change.
-        """
-        if level > len(self.ids):
-            return []
-        table, memo = self.ids[level - 1], self.found[level - 1]
-        found, seen = memo.get(mask) or ([], 0)
-        if seen < len(table):
-            new = enumerate(islice(table, seen, None), seen)
-            found.extend(i for i, m in new if m & mask == m)
-            memo[mask] = (found, len(table))
-        return found.copy()
-
     def process_bin(self, t: int, active: int) -> None:
         """Record bin ``t``, whose active neurons are the bits of ``active``.
 
@@ -229,65 +212,78 @@ class _Builder:
         mask inside ``active``; under exact cover, the masks a greedy takes
         disjointly in ``order`` when they cover ``active``.  Realizing
         nothing, or (with keep-union-words) a union under exact cover,
-        registers ``active`` itself.
+        registers ``active`` itself.  At each level l >= 2 it realizes
+        every bond inside the mask of its level-(l-1) ids, whose own bond
+        registers when that mask is first queried.
 
-        Either way the level-1 answer depends only on the bonds inside
-        ``active``, and the level-(l+1) answer only on those inside the
-        mask of the level-l ids; registering a known mask does nothing.  So
-        a repeated bin replays its last answer unless a bond registered
-        since lies inside one of its queries.  The level-1 table length is
-        taken before the bin registers ``active``: a first answer that
-        registered it (and so, under keep-union-words, differs from a fresh
-        one) finds that bond new on the repeat, which is processed afresh.
+        Each answer depends only on the bonds inside its query, so a
+        level's memo answers a repeated query after scanning only the bonds
+        registered since.
         """
-        steps = self.replay.get(active)
-        if steps is not None and self._still_holds(steps):
-            for level_bins, (ids, _, _) in zip(self.bins, steps):
-                for bid in ids:
-                    level_bins[bid].append(t)
-            return
-        seen = len(self.ids[0]) if self.ids else 0
-        exact = self.config.decomposition == "exact-cover"
-        if not exact:
-            realized = self.inside(1, active)
-        else:
-            realized, remaining = [], active
-            for _, _, i, m in self.order:
-                if m & remaining == m:
-                    remaining ^= m
-                    realized.append(i)
-                    if not remaining:
-                        break
-            if remaining:
-                realized = []
-        if not realized or (self.config.keep_union_words and exact and len(realized) >= 2):
-            realized.append(self.register(1, active))
-        current, mask = sorted(realized), active
-        self.replay[active] = steps = []
-        for level in range(1, self.config.max_level + 1):
-            steps.append([current, mask, seen])
-            for bid in current:
-                self.bins[level - 1][bid].append(t)
-            if level == self.config.max_level or len(current) < 2:
+        entry = self.memo[0].get(active)
+        if entry is None or entry[2] < len(self.ids[0]):
+            entry = self._level_one(active, entry)
+        max_level = self.config.max_level
+        for level in range(1, max_level + 1):
+            ids, mask, _ = entry
+            level_bins = self.bins[level - 1]
+            for bid in ids:
+                level_bins[bid].append(t)
+            if level == max_level or len(ids) < 2:
                 break
-            # the new bond's mask is the mask of ``current``, so it lies inside
-            mask = bitmask(current)
-            self.register(level + 1, mask)
-            current = self.inside(level + 1, mask)
-            seen = len(self.ids[level])
+            entry = self.memo[level].get(mask) if level < len(self.memo) else None
+            if entry is None:
+                self.register(level + 1, mask)
+                entry = self.memo[level][mask] = [[], 0, 0]
+            if entry[2] < len(self.ids[level]):
+                self._extend(self.ids[level], mask, entry)
 
-    def _still_holds(self, steps: list[list]) -> bool:
-        """Whether no bond registered since ``steps`` lies inside a mask
-        they queried.  The table lengths of the levels found clear move up
-        to now; a bin that fails is processed afresh, which replaces them."""
-        for table, step in zip(self.ids, steps):
-            _, mask, seen = step
-            if seen < len(table):
-                for m in islice(table, seen, None):
-                    if m & mask == m:
-                        return False
-                step[2] = len(table)
-        return True
+    def _level_one(self, active: int, entry: list | None) -> list:
+        """Bring the level-1 answer for bin mask ``active`` up to date.
+
+        Under exact cover the greedy runs again only if a bond registered
+        since lies inside ``active``: a larger vocabulary can change what
+        the greedy takes, so its ids are not extended.  The table length is
+        taken before the bin registers ``active``, so an answer that
+        registered it (under keep-union-words, next to the bonds it covers)
+        finds that bond new on a repeat and covers again, taking it alone.
+        """
+        table = self.ids[0]
+        if self.config.decomposition != "exact-cover":
+            entry = entry or self.memo[0].setdefault(active, [[], 0, 0])
+            if not self._extend(table, active, entry):
+                self.register(1, active)
+                self._extend(table, active, entry)
+            return entry
+        if entry and not any(m & active == m for m in islice(table, entry[2], None)):
+            entry[2] = len(table)
+            return entry
+        seen, realized, remaining = len(table), [], active
+        for _, _, i, m in self.order:
+            if m & remaining == m:
+                remaining ^= m
+                realized.append(i)
+                if not remaining:
+                    break
+        if remaining:
+            realized = []
+        if not realized or (self.config.keep_union_words and len(realized) >= 2):
+            realized.append(self.register(1, active))
+        realized.sort()
+        entry = self.memo[0][active] = [realized, bitmask(realized), seen]
+        return entry
+
+    @staticmethod
+    def _extend(table: dict[int, int], query: int, entry: list) -> list[int]:
+        """Append to ``entry`` the ids of the bonds registered since that lie
+        inside ``query``; they are larger, so the ids stay ascending."""
+        ids, mask, seen = entry
+        for i, m in enumerate(islice(table, seen, None), seen):
+            if m & query == m:
+                ids.append(i)
+                mask |= 1 << i
+        entry[1:] = mask, len(table)
+        return ids
 
 
 def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) -> Hyperstructure:
@@ -309,7 +305,7 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
         prepass = _Builder(replace(config, max_level=1))
         for t, active in bins:
             prepass.process_bin(t, active)
-        for mask in prepass.ids[0] if prepass.ids else ():
+        for mask in prepass.ids[0]:
             builder.register(1, mask)
     for t, active in bins:
         builder.process_bin(t, active)

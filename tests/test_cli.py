@@ -193,6 +193,7 @@ ARTIFACT_MUTATIONS = {
     "bins-unsorted": _set(["levels", 0, 0, "bins"], [5, 1, 3]),
     "bins-repeated": _set(["levels", 0, 0, "bins"], [0, 0, 3]),
     "bin-string": _set(["levels", 0, 0, "bins"], ["0", 3, 5]),
+    "bin-negative": lambda obj: obj["levels"][0][0].update(bins=[-7, 4], count=2),
     "bins-missing": _drop_bins,
     "empty-level": lambda obj: obj["levels"].append([]),
     "duplicate-bond": lambda obj: obj["levels"][0].append({**obj["levels"][0][0], "id": 3}),

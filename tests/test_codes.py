@@ -140,6 +140,12 @@ def test_malformed_value_rejected(make, error):
         make()
 
 
+def test_log_rejects_a_negative_bin_index():
+    # a log of one bin has no order to break: the index itself is wrong
+    with pytest.raises(DimensionError, match="bin index -5 is negative"):
+        log_from_json_obj({"n": 2, "bins": [[-5, [0]]]})
+
+
 def test_parse_header_flag():
     n, log = parse_spike_matrix("t0,t1\n1,0\n0,1", header=True)
     assert n == 2

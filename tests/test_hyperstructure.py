@@ -258,6 +258,9 @@ assembly_bins_strategy = st.lists(
 @example([{0, 1}, {0, 1, 2}, {2}, {0, 1, 2}], "subset-realization", 2, False, False)
 @example([{0}, {1, 2}, {0, 1, 2}, {0, 1}, {0, 1, 2}], "exact-cover", 2, False, False)
 @example([{0, 1}, {2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}], "exact-cover", 2, False, True)
+# bins 3 and 5 differ but query one level-2 mask, and bin 4 registers the
+# level-2 bond {0, 1} inside it in between: bin 5 realizes both
+@example([{0}, {1}, {2}, {0, 1, 2}, {0, 1}, {0, 1, 2, 3}], "subset-realization", 2, False, False)
 @settings(max_examples=500, deadline=None)
 def test_build_matches_naive_pass(bins, mode, max_level, two_pass, keep_union):
     config = BuildConfig(max_level, mode, 1, two_pass, keep_union)

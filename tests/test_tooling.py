@@ -106,23 +106,32 @@ def _is_cli_command(decorator: ast.expr) -> bool:
 
 
 def test_every_definition_is_read_by_the_program():
-    # a function or class that only the tests read is a superseded path;
-    # click reaches the commands through their decorators
-    read = set(hypercode.__all__)
+    # a function, class or method that only the tests read is a superseded
+    # path; click reaches the commands through their decorators, Python the
+    # dunder methods, and a method is read only as an attribute
+    names, attributes = set(hypercode.__all__), set()
     for path in [*PACKAGE.glob("*.py"), PERFBENCH_RUN]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attributes.add(node.attr)
     paths = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "codes.py" in paths
-    unread = [
-        f"{path.name} {node.name}"
-        for path in paths
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in read
-        and not any(map(_is_cli_command, node.decorator_list))
-    ]
+    read, unread = names | attributes, []
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in read and not any(
+                map(_is_cli_command, node.decorator_list)
+            ):
+                unread.append(f"{path.name} {node.name}")
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if (
+                    isinstance(method, ast.FunctionDef)
+                    and not (method.name.startswith("__") and method.name.endswith("__"))
+                    and method.name not in attributes
+                ):
+                    unread.append(f"{path.name} {node.name}.{method.name}")
     assert unread == []
