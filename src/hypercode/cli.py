@@ -160,9 +160,11 @@ def ingest(path, fmt, header, dt, neurons, output):
         for row in csv.reader(text.splitlines()):
             if not row or row[0].strip() == "neuron_id":
                 continue
+            if len(row) != 2:
+                raise ParseError(f"bad event row {row!r}: {len(row)} cells, not 2")
             try:
                 events.append((int(row[0]), float(row[1])))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad event row {row!r}: {exc}") from exc
         n = neurons if neurons is not None else max((e[0] for e in events), default=-1) + 1
         log = codes.bin_event_list(events, dt, n)

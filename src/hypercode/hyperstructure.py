@@ -7,10 +7,8 @@ over the bins of an :class:`~hypercode.codes.OccurrenceLog`.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
-from itertools import islice
 from operator import or_
 
 from hypercode.codes import OccurrenceLog, _json_int, bitmask, members
@@ -177,32 +175,47 @@ class _Builder:
     ``ids`` has one dict per level that a bin has reached, level 1 from
     the start.  It maps each bond's constituents as a bitmask (neuron bits
     at level 1, lower-level bond ids above) to the bond's id, in
-    first-sighting order; ``bins`` lists each bond's bins by id.  ``memo``
+    first-sighting order; ``masks`` lists the same masks by id, so the
+    bonds registered since the level had ``seen`` bonds are
+    ``masks[seen:]``, and ``bins`` lists each bond's bins by id.  ``memo``
     has one dict per level too, mapping each query mask to its answer: the
     ids, ascending, their mask (the next level's query) and the level's
-    table length when the answer was last brought up to date.
+    table length when the answer was last brought up to date.  Under exact
+    cover ``holders`` maps each neuron to its bond set, bit i for each
+    level-1 bond i that holds it, and ``keys`` has each level-1 bond's
+    greedy rank, (-size, members), by id.
     """
 
     def __init__(self, config: BuildConfig):
         self.config = config
         self.ids: list[dict[int, int]] = [{}]
+        self.masks: list[list[int]] = [[]]
         self.bins: list[list[list[int]]] = [[]]
         self.memo: list[dict[int, list]] = [{}]  # per query: [ids, their mask, seen]
-        # exact cover only: (-size, members, id, mask) per level-1 bond, sorted
-        self.order: list[tuple] = []
+        # exact cover only: each neuron's bond set, each level-1 bond's rank
+        self.holders: dict[int, int] = {}
+        self.keys: list[tuple[int, tuple[int, ...]]] = []
 
     def register(self, level: int, mask: int) -> int:
+        """The id of the level-``level`` bond of ``mask``, registered first
+        if new; under exact cover a new level-1 bond also joins the bond
+        set of each of its neurons."""
         if level > len(self.ids):
             self.ids.append({})
+            self.masks.append([])
             self.bins.append([])
             self.memo.append({})
         table = self.ids[level - 1]
         bid = table.get(mask)
         if bid is None:
             bid = table[mask] = len(table)
+            self.masks[level - 1].append(mask)
             self.bins[level - 1].append([])
             if level == 1 and self.config.decomposition == "exact-cover":
-                bisect.insort(self.order, (-mask.bit_count(), tuple(members(mask)), bid, mask))
+                neurons = tuple(members(mask))
+                self.keys.append((-len(neurons), neurons))
+                for v in neurons:
+                    self.holders[v] = self.holders.get(v, 0) | 1 << bid
         return bid
 
     def process_bin(self, t: int, active: int) -> None:
@@ -210,18 +223,18 @@ class _Builder:
 
         The bin realizes, under subset realization, every known level-1
         mask inside ``active``; under exact cover, the masks a greedy takes
-        disjointly in ``order`` when they cover ``active``.  Realizing
-        nothing, or (with keep-union-words) a union under exact cover,
-        registers ``active`` itself.  At each level l >= 2 it realizes
-        every bond inside the mask of its level-(l-1) ids, whose own bond
-        registers when that mask is first queried.
+        disjointly, largest first and then by members, when they cover
+        ``active``.  Realizing nothing, or (with keep-union-words) a union
+        under exact cover, registers ``active`` itself.  At each level
+        l >= 2 it realizes every bond inside the mask of its level-(l-1)
+        ids, whose own bond registers when that mask is first queried.
 
         Each answer depends only on the bonds inside its query, so a
         level's memo answers a repeated query after scanning only the bonds
         registered since.
         """
         entry = self.memo[0].get(active)
-        if entry is None or entry[2] < len(self.ids[0]):
+        if entry is None or entry[2] < len(self.masks[0]):
             entry = self._level_one(active, entry)
         max_level = self.config.max_level
         for level in range(1, max_level + 1):
@@ -235,31 +248,38 @@ class _Builder:
             if entry is None:
                 self.register(level + 1, mask)
                 entry = self.memo[level][mask] = [[], 0, 0]
-            if entry[2] < len(self.ids[level]):
-                self._extend(self.ids[level], mask, entry)
+            if entry[2] < len(self.masks[level]):
+                self._extend(self.masks[level], mask, entry)
 
     def _level_one(self, active: int, entry: list | None) -> list:
         """Bring the level-1 answer for bin mask ``active`` up to date.
 
-        Under exact cover the greedy runs again only if a bond registered
+        Under exact cover the bonds inside ``active`` are those in no bond
+        set of a neuron outside it, and the greedy visits them by their
+        keys.  A repeat runs the greedy again only if a bond registered
         since lies inside ``active``: a larger vocabulary can change what
         the greedy takes, so its ids are not extended.  The table length is
         taken before the bin registers ``active``, so an answer that
         registered it (under keep-union-words, next to the bonds it covers)
         finds that bond new on a repeat and covers again, taking it alone.
         """
-        table = self.ids[0]
+        masks = self.masks[0]
         if self.config.decomposition != "exact-cover":
             entry = entry or self.memo[0].setdefault(active, [[], 0, 0])
-            if not self._extend(table, active, entry):
+            if not self._extend(masks, active, entry):
                 self.register(1, active)
-                self._extend(table, active, entry)
+                self._extend(masks, active, entry)
             return entry
-        if entry and not any(m & active == m for m in islice(table, entry[2], None)):
-            entry[2] = len(table)
+        if entry and not any(m & active == m for m in masks[entry[2]:]):
+            entry[2] = len(masks)
             return entry
-        seen, realized, remaining = len(table), [], active
-        for _, _, i, m in self.order:
+        seen, outside = len(masks), 0
+        for v, bonds in self.holders.items():
+            if not active >> v & 1:
+                outside |= bonds
+        realized, remaining = [], active
+        for i in sorted(members((1 << seen) - 1 ^ outside), key=self.keys.__getitem__):
+            m = masks[i]
             if m & remaining == m:
                 remaining ^= m
                 realized.append(i)
@@ -274,15 +294,16 @@ class _Builder:
         return entry
 
     @staticmethod
-    def _extend(table: dict[int, int], query: int, entry: list) -> list[int]:
-        """Append to ``entry`` the ids of the bonds registered since that lie
-        inside ``query``; they are larger, so the ids stay ascending."""
+    def _extend(masks: list[int], query: int, entry: list) -> list[int]:
+        """Append to ``entry`` the ids of the bonds in ``masks`` registered
+        since that lie inside ``query``; they are larger, so the ids stay
+        ascending."""
         ids, mask, seen = entry
-        for i, m in enumerate(islice(table, seen, None), seen):
+        for i, m in enumerate(masks[seen:], seen):
             if m & query == m:
                 ids.append(i)
                 mask |= 1 << i
-        entry[1:] = mask, len(table)
+        entry[1:] = mask, len(masks)
         return ids
 
 
@@ -305,7 +326,7 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
         prepass = _Builder(replace(config, max_level=1))
         for t, active in bins:
             prepass.process_bin(t, active)
-        for mask in prepass.ids[0]:
+        for mask in prepass.masks[0]:
             builder.register(1, mask)
     for t, active in bins:
         builder.process_bin(t, active)
@@ -315,10 +336,10 @@ def build_hyperstructure(log: OccurrenceLog, config: BuildConfig | None = None) 
     # A level left empty leaves every level above it empty too.
     levels: list[tuple[Bond, ...]] = []
     remap: dict[int, int] = {}
-    for level, (table, bond_bins) in enumerate(zip(builder.ids, builder.bins), start=1):
+    for level, (masks, bond_bins) in enumerate(zip(builder.masks, builder.bins), start=1):
         survivors: list[Bond] = []
         new_remap: dict[int, int] = {}
-        for bid, (mask, seen) in enumerate(zip(table, bond_bins)):
+        for bid, (mask, seen) in enumerate(zip(masks, bond_bins)):
             if len(seen) < config.min_count:
                 continue
             constituents = members(mask) if level == 1 else (remap[c] for c in members(mask))

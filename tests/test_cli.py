@@ -498,6 +498,7 @@ BAD_INPUT = {
     "events-without-dt": ("0,0.1\n", ["ingest", "--format", "events"]),
     "event-row-bad": ("0,abc\n", ["ingest", "--format", "events", "--dt", "0.5"]),
     "event-row-short": ("0\n", ["ingest", "--format", "events", "--dt", "0.5"]),
+    "event-row-long": ("0,0.1,9\n", ["ingest", "--format", "events", "--dt", "0.5"]),
     "events-neurons-negative": (
         "neuron_id,timestamp\n",
         ["ingest", "--format", "events", "--dt", "0.1", "--neurons", "-1"],

@@ -261,6 +261,12 @@ assembly_bins_strategy = st.lists(
 # bins 3 and 5 differ but query one level-2 mask, and bin 4 registers the
 # level-2 bond {0, 1} inside it in between: bin 5 realizes both
 @example([{0}, {1}, {2}, {0, 1, 2}, {0, 1}, {0, 1, 2, 3}], "subset-realization", 2, False, False)
+# bond {0, 1, 2, 3} meets the last bin but sticks out of it, and the bonds
+# {1, 2} and {0, 1} inside it tie on size: the greedy takes {0, 1} by its
+# members, then {2}.  With two passes and union words kept, the prepass
+# registers {0, 1, 2}, which the greedy takes before both
+@example([{0, 1, 2, 3}, {1, 2}, {0, 1}, {0}, {2}, {0, 1, 2}], "exact-cover", 2, False, False)
+@example([{0, 1, 2, 3}, {1, 2}, {0, 1}, {0}, {2}, {0, 1, 2}], "exact-cover", 2, True, True)
 @settings(max_examples=500, deadline=None)
 def test_build_matches_naive_pass(bins, mode, max_level, two_pass, keep_union):
     config = BuildConfig(max_level, mode, 1, two_pass, keep_union)
