@@ -93,7 +93,8 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     try:
         return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError and an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -157,15 +158,18 @@ def ingest(path, fmt, header, dt, neurons, output):
         if dt is None:
             raise ParseError("events format requires --dt")
         events = []
-        for row in csv.reader(text.splitlines()):
-            if not row or row[0].strip() == "neuron_id":
-                continue
-            if len(row) != 2:
-                raise ParseError(f"bad event row {row!r}: {len(row)} cells, not 2")
-            try:
-                events.append((int(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ParseError(f"bad event row {row!r}: {exc}") from exc
+        try:
+            for row in csv.reader(text.splitlines()):
+                if not row or row[0].strip() == "neuron_id":
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"bad event row {row!r}: {len(row)} cells, not 2")
+                try:
+                    events.append((int(row[0]), float(row[1])))
+                except ValueError as exc:
+                    raise ParseError(f"bad event row {row!r}: {exc}") from exc
+        except csv.Error as exc:
+            raise ParseError(f"bad event list: {exc}") from exc
         n = neurons if neurons is not None else max((e[0] for e in events), default=-1) + 1
         log = codes.bin_event_list(events, dt, n)
     _write_texts([(output, _json_text(codes.log_to_json_obj(log)))])

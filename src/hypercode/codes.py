@@ -125,20 +125,22 @@ def parse_spike_matrix(text: str | Iterable[str], header: bool = False) -> tuple
                 return n, OccurrenceLog(n, bins)
         text = io.StringIO(text)
     rows: list[list[str]] = []
-    reader = csv.reader(text)
-    for rownum, row in enumerate(reader):
-        if header and rownum == 0:
-            continue
-        if not row:
-            continue
-        if not _BINARY.issuperset(row):
-            row = [cell.strip() for cell in row]
-            for colnum, cell in enumerate(row):
-                if cell not in _BINARY:
-                    raise ParseError(
-                        f"non-binary cell {cell!r} at row {len(rows)}, column {colnum}"
-                    )
-        rows.append(row)
+    try:
+        for rownum, row in enumerate(csv.reader(text)):
+            if header and rownum == 0:
+                continue
+            if not row:
+                continue
+            if not _BINARY.issuperset(row):
+                row = [cell.strip() for cell in row]
+                for colnum, cell in enumerate(row):
+                    if cell not in _BINARY:
+                        raise ParseError(
+                            f"non-binary cell {cell!r} at row {len(rows)}, column {colnum}"
+                        )
+            rows.append(row)
+    except csv.Error as exc:
+        raise ParseError(f"bad spike matrix: {exc}") from exc
     if not rows:
         return 0, OccurrenceLog(0, ())
     width = len(rows[0])

@@ -22,7 +22,6 @@ zero columns, the infinite bars.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
 from operator import add, and_, itemgetter, lt, mul, rshift, sub, xor
@@ -37,24 +36,15 @@ DEFAULT_DIM_CAP = 5
 
 
 def resolve_dim_cap(dim_cap: int | None = None) -> int:
-    """Explicit value, else HYPERCODE_DIM_CAP, else the default of 5.
+    """The explicit cap, else the default of 5.
 
     A cap below 1 would leave no boundary to reduce, so it raises.
     """
-    if dim_cap is not None:
-        if dim_cap < 1:
-            raise ConfigError(f"dim_cap must be at least 1, got {dim_cap}")
-        return dim_cap
-    raw = os.environ.get("HYPERCODE_DIM_CAP")
-    if raw is None:
+    if dim_cap is None:
         return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"HYPERCODE_DIM_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"HYPERCODE_DIM_CAP must be at least 1, got {raw!r}")
-    return cap
+    if dim_cap < 1:
+        raise ConfigError(f"dim_cap must be at least 1, got {dim_cap}")
+    return dim_cap
 
 
 @dataclass(frozen=True)
@@ -246,6 +236,7 @@ def betti(
 ) -> tuple[int, ...]:
     """Betti numbers over GF(2) up to max_dim.
 
+    The dim cap is ``dim_cap``, or 5 when it is None (``resolve_dim_cap``).
     The default max_dim is the complex dimension, or cap - 1 when the
     complex exceeds the dim cap: cofaces are generated up to the cap only,
     so that is the highest dimension whose Betti number they determine;

@@ -350,15 +350,14 @@ def test_end_to_end_determinism(runner, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_dim_cap_env_override(runner, tmp_path, monkeypatch):
+def test_dim_cap_option_override(runner, tmp_path):
     _, hs = _pipeline(runner, tmp_path)
-    monkeypatch.setenv("HYPERCODE_DIM_CAP", "1")
     # the level-1 complex has 2-simplices beyond the cap: beta_0 only
-    r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--dim-cap", "1"])
     assert r.exit_code == 0
     assert r.stdout == "3\n"
     assert "dim_cap 1" in r.stderr
-    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--max-dim", "1"])
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--dim-cap", "1", "--max-dim", "1"])
     assert r.exit_code == 1
 
 
@@ -367,8 +366,7 @@ def test_dim_cap_env_override(runner, tmp_path, monkeypatch):
 WIDE_CSV = matrix_csv(7, [set(range(7))] + [{0, j} for j in range(1, 7)])
 
 
-def test_betti_above_cap_stops_below_it(runner, tmp_path, monkeypatch):
-    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+def test_betti_above_cap_stops_below_it(runner, tmp_path):
     _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
     r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
     assert r.exit_code == 0, r.output
@@ -380,8 +378,7 @@ def test_betti_above_cap_stops_below_it(runner, tmp_path, monkeypatch):
     assert r.exit_code == 1
 
 
-def test_nerve_betti_above_cap_stops_below_it(runner, tmp_path, monkeypatch):
-    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+def test_nerve_betti_above_cap_stops_below_it(runner, tmp_path):
     _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
     out = tmp_path / "nerve.json"
     r = runner.invoke(cli, ["nerve", str(hs), "--betti", "-o", str(out)])
@@ -401,8 +398,7 @@ def test_persist_no_levels_writes_only_the_header(runner, tmp_path):
     assert r.output == ""
 
 
-def test_persist_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
-    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+def test_persist_names_the_cap_only_when_cut(runner, tmp_path):
     note = (
         "note: level 1: complex dimension exceeds dim_cap 5; "
         "intervals of dimension 5 and above dropped\n"
@@ -417,8 +413,7 @@ def test_persist_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
     assert (r.exit_code, r.stderr) == (0, "")
 
 
-def test_compare_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
-    monkeypatch.delenv("HYPERCODE_DIM_CAP", raising=False)
+def test_compare_names_the_cap_only_when_cut(runner, tmp_path):
     _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
     r = runner.invoke(cli, ["compare", str(hs), str(hs), "--with-nerve"])
     assert r.exit_code == 0, r.output
@@ -436,17 +431,39 @@ def test_compare_names_the_cap_only_when_cut(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
-def test_dim_cap_below_one(runner, tmp_path, monkeypatch, cap):
+def test_dim_cap_below_one(runner, tmp_path, cap):
     _, hs = _pipeline(runner, tmp_path)
     out = tmp_path / "bars.csv"
     r = runner.invoke(cli, ["persist", str(hs), "--dim-cap", cap, "-o", str(out)])
     assert r.exit_code == 1
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
     assert not out.exists()
-    monkeypatch.setenv("HYPERCODE_DIM_CAP", cap)
-    r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
-    assert r.exit_code == 1
-    assert "HYPERCODE_DIM_CAP" in r.stderr and repr(cap) in r.stderr
+    r = runner.invoke(cli, ["betti", str(hs), "--level", "1", "--dim-cap", cap])
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr == f"error: dim_cap must be at least 1, got {cap}\n"
+
+
+@pytest.mark.parametrize("value", ["1", "abc", "0"])
+def test_dim_cap_ignores_the_environment(runner, tmp_path, monkeypatch, value):
+    """The cap comes from arguments only: a stray HYPERCODE_DIM_CAP changes no output."""
+    _, hs = _pipeline(runner, tmp_path, WIDE_CSV)
+    out = tmp_path / "out"
+    commands = [
+        ["betti", str(hs), "--level", "1"],
+        ["persist", str(hs), "-o", str(out)],
+        ["nerve", str(hs), "--betti", "-o", str(out)],
+        ["compare", str(hs), str(hs), "--with-nerve"],
+    ]
+
+    def run(args):
+        out.unlink(missing_ok=True)
+        r = runner.invoke(cli, args)
+        return r.exit_code, r.stdout, r.stderr, out.read_bytes() if out.exists() else None
+
+    unset = [run(args) for args in commands]
+    assert [exit_code for exit_code, *_ in unset] == [0, 0, 0, 0]
+    monkeypatch.setenv("HYPERCODE_DIM_CAP", value)
+    assert [run(args) for args in commands] == unset
 
 
 def test_betti_negative_max_dim(runner, tmp_path):
@@ -455,15 +472,6 @@ def test_betti_negative_max_dim(runner, tmp_path):
     assert r.exit_code == 1
     assert r.stdout == ""
     assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
-
-
-def test_dim_cap_env_not_an_integer(runner, tmp_path, monkeypatch):
-    _, hs = _pipeline(runner, tmp_path)
-    monkeypatch.setenv("HYPERCODE_DIM_CAP", "abc")
-    r = runner.invoke(cli, ["betti", str(hs), "--level", "1"])
-    assert r.exit_code == 1
-    assert [line[:6] for line in r.stderr.splitlines()] == ["error:"]
-    assert "HYPERCODE_DIM_CAP" in r.stderr and "'abc'" in r.stderr
 
 
 LOG_NOT_INTEGER = {
@@ -488,6 +496,10 @@ def test_build_log_not_integer_is_one_error_line(runner, tmp_path, obj):
 
 # deeper than the JSON decoder's recursion limit
 NESTED_JSON = "[" * 100_000 + "]" * 100_000
+# past the 4,300 digits int() converts from a string
+LONG_INT_JSON = '{"n": ' + "1" * 5_000 + ', "bins": []}'
+# past the 131,072 characters csv.reader takes in one field
+LONG_FIELD = "1" * 200_000
 BAD_INPUT = {
     "json-invalid": ("{", ["build"]),
     "log-key-missing": ('{"bins": []}', ["build"]),
@@ -506,6 +518,14 @@ BAD_INPUT = {
     "json-nested-build": (NESTED_JSON, ["build"]),
     "json-nested-betti": (NESTED_JSON, ["betti", "--level", "1"]),
     "json-nested-synth": (NESTED_JSON, ["synth"]),
+    "json-long-int-build": (LONG_INT_JSON, ["build"]),
+    "json-long-int-betti": (LONG_INT_JSON, ["betti", "--level", "1"]),
+    "json-long-int-synth": (LONG_INT_JSON, ["synth"]),
+    "matrix-field-too-long": (LONG_FIELD + "\n", ["ingest", "--format", "matrix"]),
+    "event-field-too-long": (
+        "0," + LONG_FIELD + "\n",
+        ["ingest", "--format", "events", "--dt", "0.5"],
+    ),
 }
 
 
